@@ -20,6 +20,33 @@
 //! large-neighbourhood "kick" (tearing out *all* contended chains at once,
 //! with a grace period before snap-back) breaks multi-chain contention
 //! cycles that single-chain moves reproduce.
+//!
+//! # The shortest-path kernel
+//!
+//! Nearly all embedding time goes to the Dijkstra runs (one per placed
+//! neighbour, thousands per embed), so [`PathKernel`] keeps them
+//! allocation-free and cache-friendly:
+//!
+//! * **CSR adjacency.** The target graph is copied once per
+//!   [`Embedder::embed`] call into `u32` offsets plus `u32` neighbours, in
+//!   [`Topology::neighbors`] order, so relaxation scans one contiguous
+//!   slice instead of chasing a `Vec<Vec<usize>>`.
+//! * **Packed integer keys.** A heap entry is the `u128`
+//!   `(dist.to_bits() << 64) | qubit`. Distances are sums of positive
+//!   usage costs, so they are non-negative and never NaN, and for such
+//!   f64 values (including +inf) the IEEE bit pattern orders exactly like
+//!   the number. The packed key therefore orders exactly like the
+//!   `(distance, qubit)` pair it encodes: equal distances still pop
+//!   lowest qubit first. Keys are unique (a qubit is only re-pushed at a
+//!   strictly smaller distance), so every min-heap pops them in the same
+//!   sequence, and `dist`/`pred` come out bit-identical to the textbook
+//!   `BinaryHeap<Reverse<(f64, usize)>>` version.
+//! * **Reused buffers.** The heap, the per-neighbour `dist`/`pred` pools
+//!   and the per-qubit usage state are allocated once per call and reset
+//!   per try.
+//!
+//! Chain-membership tests (trimming and validation) use epoch stamps or
+//! an owner array instead of scanning chains.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -121,19 +148,24 @@ impl Embedding {
                 owner[q] = v;
             }
         }
-        // Connectivity of each chain (BFS within the chain set).
+        // Connectivity of each chain (flood fill within the chain). Chains
+        // are disjoint by now, so one `seen` array serves every chain.
+        let mut seen = vec![false; target.num_qubits()];
+        let mut stack = Vec::new();
         for (v, chain) in self.chains.iter().enumerate() {
-            let inside: std::collections::HashSet<usize> = chain.iter().copied().collect();
-            let mut seen = std::collections::HashSet::from([chain[0]]);
-            let mut stack = vec![chain[0]];
+            seen[chain[0]] = true;
+            stack.push(chain[0]);
+            let mut reached = 1;
             while let Some(q) = stack.pop() {
                 for &w in target.neighbors(q) {
-                    if inside.contains(&w) && seen.insert(w) {
+                    if owner[w] == v && !seen[w] {
+                        seen[w] = true;
+                        reached += 1;
                         stack.push(w);
                     }
                 }
             }
-            if seen.len() != chain.len() {
+            if reached != chain.len() {
                 return Err(EmbeddingError::DisconnectedChain(v));
             }
         }
@@ -141,7 +173,7 @@ impl Embedding {
         for &(a, b) in source_edges {
             let covered = self.chains[a]
                 .iter()
-                .any(|&qa| target.neighbors(qa).iter().any(|&w| self.chains[b].contains(&w)));
+                .any(|&qa| target.neighbors(qa).iter().any(|&w| owner[w] == b));
             if !covered {
                 return Err(EmbeddingError::MissingCoupler(a, b));
             }
@@ -157,31 +189,97 @@ pub struct Embedder {
     pub max_tries: usize,
     /// Rip-up-and-re-route passes per try.
     pub improvement_passes: usize,
-    /// Base of the exponential overlap penalty.
+    /// Base of the exponential overlap penalty; must be finite and > 0.
     pub penalty_base: f64,
-    /// Ignored. Formerly a wall-clock budget in seconds; the budget is
-    /// now attempt-based (`max_tries`), so embedding outcomes are a pure
-    /// function of the inputs instead of machine speed. The field stays
-    /// so existing struct literals keep compiling.
-    #[deprecated(note = "wall-clock budgets are gone; bound work with `max_tries` instead")]
-    pub time_budget_secs: Option<f64>,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for Embedder {
-    #[allow(deprecated)]
     fn default() -> Self {
-        Embedder {
-            max_tries: 8,
-            improvement_passes: 64,
-            penalty_base: 8.0,
-            time_budget_secs: None,
-            seed: 0,
+        Embedder { max_tries: 8, improvement_passes: 64, penalty_base: 8.0, seed: 0 }
+    }
+}
+
+/// The embedder's shortest-path kernel: a usage-weighted multi-source
+/// Dijkstra over a CSR copy of the target graph, with one heap reused
+/// across runs (see the module docs for why its results are bit-identical
+/// to a textbook `BinaryHeap<Reverse<(f64, usize)>>` Dijkstra).
+#[derive(Debug, Clone)]
+pub struct PathKernel {
+    /// Neighbours of `q` are `neighbors[offsets[q]..offsets[q + 1]]`.
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    /// Min-heap of packed `(distance bits, qubit)` keys.
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl PathKernel {
+    /// Copies `target`'s adjacency, in [`Topology::neighbors`] order.
+    pub fn new(target: &Topology) -> Self {
+        let n = target.num_qubits();
+        let index = |i: usize| u32::try_from(i).expect("target graph indices fit in u32");
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::new();
+        offsets.push(0);
+        for q in 0..n {
+            neighbors.extend(target.neighbors(q).iter().map(|&w| index(w)));
+            offsets.push(index(neighbors.len()));
+        }
+        PathKernel { offsets, neighbors, heap: BinaryHeap::new() }
+    }
+
+    /// Shortest paths from every qubit of `sources` (distance 0), where
+    /// entering qubit `w` costs `cost[w]`. Overwrites `dist` (`+inf` where
+    /// unreachable) and `pred` (`usize::MAX` for sources and unreachable
+    /// qubits). `cost` must be non-negative and never NaN.
+    pub fn run(
+        &mut self,
+        cost: &[f64],
+        sources: &[usize],
+        dist: &mut Vec<f64>,
+        pred: &mut Vec<usize>,
+    ) {
+        let n = self.offsets.len() - 1;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        pred.clear();
+        pred.resize(n, usize::MAX);
+        let heap = &mut self.heap;
+        heap.clear();
+        for &s in sources {
+            dist[s] = 0.0;
+            heap.push(Reverse(heap_key(0.0, s)));
+        }
+        while let Some(Reverse(key)) = heap.pop() {
+            let d = f64::from_bits((key >> 64) as u64);
+            let q = key as u64 as usize;
+            if d > dist[q] {
+                continue;
+            }
+            let row = self.offsets[q] as usize..self.offsets[q + 1] as usize;
+            for &w in &self.neighbors[row] {
+                let w = w as usize;
+                let nd = d + cost[w];
+                if nd < dist[w] {
+                    dist[w] = nd;
+                    pred[w] = q;
+                    heap.push(Reverse(heap_key(nd, w)));
+                }
+            }
         }
     }
 }
 
+/// Packs `(d, q)` into one integer that orders like the pair. Valid only
+/// for non-negative, non-NaN `d`: there f64 bit order is numeric order.
+fn heap_key(d: f64, q: usize) -> u128 {
+    debug_assert!(d >= 0.0, "path cost {d} is negative or NaN");
+    (u128::from(d.to_bits()) << 64) | q as u128
+}
+
+/// Working state of one `Embedder::embed` call. Buffers are sized once
+/// and reset per try by [`State::reset`].
 struct State<'a> {
     target: &'a Topology,
     chains: Vec<Vec<usize>>,
@@ -190,36 +288,46 @@ struct State<'a> {
     cost: Vec<f64>,
     adjacency: Vec<Vec<usize>>, // source graph
     penalty_base: f64,
+    kernel: PathKernel,
     /// Scratch buffers reused across Dijkstra runs (one pair per source
     /// neighbour of the variable currently being placed).
     dist_pool: Vec<Vec<f64>>,
     pred_pool: Vec<Vec<usize>>,
-    /// `owner[q] == v` marks q as inside the neighbour chain a path walk is
-    /// currently targeting (epoch-stamped via `owner_epoch`).
+    /// `owner_epoch[q] == epoch` marks q as inside the chain a membership
+    /// test is currently asking about. Stamps only ever compare against
+    /// the latest epoch, so they never need clearing.
     owner_epoch: Vec<u32>,
     epoch: u32,
+    /// Per-member scratch for `trim`: the member is some neighbour
+    /// chain's only coupler.
+    pinned: Vec<bool>,
 }
 
 impl<'a> State<'a> {
-    fn new(
-        target: &'a Topology,
-        num_vars: usize,
-        adjacency: Vec<Vec<usize>>,
-        penalty_base: f64,
-    ) -> Self {
+    fn new(target: &'a Topology, adjacency: Vec<Vec<usize>>) -> Self {
         let n = target.num_qubits();
         State {
             target,
-            chains: vec![Vec::new(); num_vars],
+            chains: vec![Vec::new(); adjacency.len()],
             usage: vec![0; n],
             cost: vec![1.0; n],
             adjacency,
-            penalty_base,
+            penalty_base: 1.0,
+            kernel: PathKernel::new(target),
             dist_pool: Vec::new(),
             pred_pool: Vec::new(),
             owner_epoch: vec![0; n],
             epoch: 0,
+            pinned: Vec::new(),
         }
+    }
+
+    /// Empties every chain for a fresh try.
+    fn reset(&mut self, penalty_base: f64) {
+        self.chains.iter_mut().for_each(Vec::clear);
+        self.usage.fill(0);
+        self.cost.fill(1.0);
+        self.penalty_base = penalty_base;
     }
 
     fn set_penalty_base(&mut self, base: f64) {
@@ -245,32 +353,13 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Usage-weighted multi-source Dijkstra from every qubit of `sources`
-    /// into the provided scratch buffers; source qubits cost 0.
-    fn dijkstra_into(&self, sources: &[usize], dist: &mut Vec<f64>, pred: &mut Vec<usize>) {
-        let n = self.target.num_qubits();
-        dist.clear();
-        dist.resize(n, f64::INFINITY);
-        pred.clear();
-        pred.resize(n, usize::MAX);
-        let mut heap: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::with_capacity(n / 4);
-        for &s in sources {
-            dist[s] = 0.0;
-            heap.push(Reverse((OrderedF64(0.0), s)));
+    /// Epoch-stamps `chain` for O(1) membership tests; returns the stamp.
+    fn stamp(owner_epoch: &mut [u32], epoch: &mut u32, chain: &[usize]) -> u32 {
+        *epoch += 1;
+        for &q in chain {
+            owner_epoch[q] = *epoch;
         }
-        while let Some(Reverse((OrderedF64(d), q))) = heap.pop() {
-            if d > dist[q] {
-                continue;
-            }
-            for &w in self.target.neighbors(q) {
-                let nd = d + self.cost[w];
-                if nd < dist[w] {
-                    dist[w] = nd;
-                    pred[w] = q;
-                    heap.push(Reverse((OrderedF64(nd), w)));
-                }
-            }
-        }
+        *epoch
     }
 
     /// (Re-)places variable `v`, allowing overlaps (penalised).
@@ -294,13 +383,12 @@ impl<'a> State<'a> {
             self.pred_pool.push(Vec::new());
         }
         for (run, &u) in placed_neighbors.iter().enumerate() {
-            let mut dist = std::mem::take(&mut self.dist_pool[run]);
-            let mut pred = std::mem::take(&mut self.pred_pool[run]);
-            let sources = std::mem::take(&mut self.chains[u]);
-            self.dijkstra_into(&sources, &mut dist, &mut pred);
-            self.chains[u] = sources;
-            self.dist_pool[run] = dist;
-            self.pred_pool[run] = pred;
+            self.kernel.run(
+                &self.cost,
+                &self.chains[u],
+                &mut self.dist_pool[run],
+                &mut self.pred_pool[run],
+            );
         }
 
         // Root minimising total path cost (the root's own usage cost is
@@ -327,14 +415,10 @@ impl<'a> State<'a> {
         // chains (path endpoints inside neighbour chains are excluded).
         let mut chain_set = std::collections::BTreeSet::from([best_root]);
         for (run_idx, &u) in placed_neighbors.iter().enumerate() {
-            // Epoch-stamp the neighbour chain for O(1) membership checks.
-            self.epoch += 1;
-            for &q in &self.chains[u] {
-                self.owner_epoch[q] = self.epoch;
-            }
+            let inside = Self::stamp(&mut self.owner_epoch, &mut self.epoch, &self.chains[u]);
             let pred = &self.pred_pool[run_idx];
             let mut cur = best_root;
-            while self.owner_epoch[cur] != self.epoch {
+            while self.owner_epoch[cur] != inside {
                 chain_set.insert(cur);
                 cur = pred[cur];
                 if cur == usize::MAX {
@@ -348,54 +432,46 @@ impl<'a> State<'a> {
     }
 
     /// Removes unnecessary leaf qubits from `v`'s chain while keeping the
-    /// chain connected and every placed-neighbour adjacency covered.
-    /// Run between improvement passes to keep chains lean.
+    /// chain connected and every placed-neighbour adjacency covered:
+    /// repeatedly drops the first member (in chain order) that is a leaf
+    /// of the chain's induced subgraph and is not the only coupler to
+    /// some placed neighbour chain.
     fn trim(&mut self, v: usize) {
-        loop {
-            let chain = &self.chains[v];
-            if chain.len() <= 1 {
-                return;
+        while self.chains[v].len() > 1 {
+            let Some(idx) = self.removable_leaf(v) else { return };
+            let q = self.chains[v].remove(idx);
+            self.usage[q] -= 1;
+            self.cost[q] = self.penalty_base.powi(self.usage[q] as i32);
+        }
+    }
+
+    /// Index of the first member of `v`'s chain that `trim` may drop.
+    fn removable_leaf(&mut self, v: usize) -> Option<usize> {
+        let target = self.target;
+        self.pinned.clear();
+        self.pinned.resize(self.chains[v].len(), false);
+        for &u in &self.adjacency[v] {
+            if self.chains[u].is_empty() {
+                continue;
             }
-            self.epoch += 1;
-            for &q in chain {
-                self.owner_epoch[q] = self.epoch;
-            }
-            let chain_epoch = self.epoch;
-            let mut removed = None;
-            'candidates: for (idx, &q) in chain.iter().enumerate() {
-                let internal_degree = self
-                    .target
-                    .neighbors(q)
-                    .iter()
-                    .filter(|&&w| self.owner_epoch[w] == chain_epoch)
-                    .count();
-                if internal_degree != 1 {
-                    continue;
-                }
-                for &u in &self.adjacency[v] {
-                    let other = &self.chains[u];
-                    if other.is_empty() {
-                        continue;
-                    }
-                    let covered = chain.iter().enumerate().any(|(j, &qa)| {
-                        j != idx && self.target.neighbors(qa).iter().any(|w| other.contains(w))
-                    });
-                    if !covered {
-                        continue 'candidates;
-                    }
-                }
-                removed = Some((idx, q));
-                break;
-            }
-            match removed {
-                Some((idx, q)) => {
-                    self.chains[v].remove(idx);
-                    self.usage[q] -= 1;
-                    self.cost[q] = self.penalty_base.powi(self.usage[q] as i32);
-                }
-                None => return,
+            let other = Self::stamp(&mut self.owner_epoch, &mut self.epoch, &self.chains[u]);
+            let owner_epoch = &self.owner_epoch;
+            let mut couplers = self.chains[v].iter().enumerate().filter_map(|(i, &qa)| {
+                target.neighbors(qa).iter().any(|&w| owner_epoch[w] == other).then_some(i)
+            });
+            match (couplers.next(), couplers.next()) {
+                // No member couples to `u`: no removal can keep it covered.
+                (None, _) => return None,
+                (Some(i), None) => self.pinned[i] = true,
+                _ => {}
             }
         }
+        let inside = Self::stamp(&mut self.owner_epoch, &mut self.epoch, &self.chains[v]);
+        let owner_epoch = &self.owner_epoch;
+        self.chains[v].iter().zip(&self.pinned).position(|(&q, &pinned)| {
+            !pinned
+                && target.neighbors(q).iter().filter(|&&w| owner_epoch[w] == inside).count() == 1
+        })
     }
 
     fn max_usage(&self) -> u32 {
@@ -418,21 +494,6 @@ impl<'a> State<'a> {
     }
 }
 
-/// Total-order wrapper for f64 heap keys (costs are never NaN).
-#[derive(PartialEq)]
-struct OrderedF64(f64);
-impl Eq for OrderedF64 {}
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("costs are never NaN")
-    }
-}
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl Embedder {
     /// Attempts to embed the source graph (given as `num_vars` and an edge
     /// list) into `target`. Returns a validated embedding or `None`.
@@ -442,6 +503,14 @@ impl Embedder {
         source_edges: &[(usize, usize)],
         target: &Topology,
     ) -> Option<Embedding> {
+        // The shortest-path kernel's packed heap keys order like the
+        // distances only while every cost is non-negative and not NaN,
+        // which a finite positive base guarantees.
+        assert!(
+            self.penalty_base.is_finite() && self.penalty_base > 0.0,
+            "penalty_base must be finite and positive, got {}",
+            self.penalty_base
+        );
         if num_vars == 0 {
             return Some(Embedding { chains: Vec::new() });
         }
@@ -462,9 +531,10 @@ impl Embedder {
         }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut state = State::new(target, adjacency);
         for _try in 0..self.max_tries {
             qjo_obs::counter!("embed.tries").incr();
-            let mut state = State::new(target, num_vars, adjacency.clone(), self.penalty_base);
+            state.reset(self.penalty_base);
             // Place in BFS order from a max-degree variable (random
             // tie-breaking), so every new variable lands next to already
             // placed neighbours instead of a random spot.
@@ -607,60 +677,17 @@ impl Embedder {
                 state.restore(&best_chains);
             }
             if state.max_usage() <= 1 {
-                let mut embedding = Embedding { chains: state.chains };
-                trim_chains(&mut embedding, &adjacency, target);
+                for v in 0..num_vars {
+                    state.trim(v);
+                }
+                let embedding = Embedding { chains: std::mem::take(&mut state.chains) };
                 if embedding.validate(source_edges, target).is_ok() {
                     return Some(embedding);
                 }
+                state.chains = embedding.chains;
             }
         }
         None
-    }
-}
-
-/// Removes unnecessary chain qubits: leaf vertices of a chain's induced
-/// subgraph are dropped while every logical adjacency stays covered.
-#[allow(clippy::needless_range_loop)] // v indexes two structures in lockstep
-fn trim_chains(embedding: &mut Embedding, adjacency: &[Vec<usize>], target: &Topology) {
-    let num_vars = embedding.chains.len();
-    for v in 0..num_vars {
-        loop {
-            let chain = &embedding.chains[v];
-            if chain.len() <= 1 {
-                break;
-            }
-            let inside: std::collections::HashSet<usize> = chain.iter().copied().collect();
-            // Chain-internal degree of each member.
-            let mut removable = None;
-            'candidates: for (idx, &q) in chain.iter().enumerate() {
-                let internal_degree =
-                    target.neighbors(q).iter().filter(|w| inside.contains(w)).count();
-                if internal_degree != 1 {
-                    continue; // only leaves keep the chain connected on removal
-                }
-                // Every neighbour chain must stay reachable without q.
-                for &u in &adjacency[v] {
-                    let other = &embedding.chains[u];
-                    if other.is_empty() {
-                        continue;
-                    }
-                    let covered_without_q = chain.iter().enumerate().any(|(j, &qa)| {
-                        j != idx && target.neighbors(qa).iter().any(|w| other.contains(w))
-                    });
-                    if !covered_without_q {
-                        continue 'candidates;
-                    }
-                }
-                removable = Some(idx);
-                break;
-            }
-            match removable {
-                Some(idx) => {
-                    embedding.chains[v].remove(idx);
-                }
-                None => break,
-            }
-        }
     }
 }
 
@@ -794,6 +821,37 @@ mod tests {
         let e = Embedder::default().embed(2, &[], &target).expect("two isolated vars");
         assert_eq!(e.chains.len(), 2);
         assert!(e.validate(&[], &target).is_ok());
+    }
+
+    #[test]
+    fn trim_keeps_coupler_leaves_and_leaves_uncovered_chains_alone() {
+        let target = Topology::line(8);
+        let mut state = State::new(&target, vec![vec![1], vec![0]]);
+        state.reset(8.0);
+        // Chain 0 = 0-1-2-3 couples to chain 1 = {4} only through qubit 3:
+        // the leaf 0 goes, then 1 and 2 in turn, while 3 is pinned.
+        state.claim(0, vec![0, 1, 2, 3]);
+        state.claim(1, vec![4]);
+        state.trim(0);
+        assert_eq!(state.chains[0], vec![3]);
+        // A chain with no coupler to a placed neighbour is left untouched.
+        state.release(0);
+        state.release(1);
+        state.claim(0, vec![0, 1]);
+        state.claim(1, vec![6]);
+        state.trim(0);
+        assert_eq!(state.chains[0], vec![0, 1]);
+    }
+
+    #[test]
+    fn non_positive_or_nan_penalty_base_is_rejected() {
+        for base in [f64::NAN, f64::INFINITY, 0.0, -8.0] {
+            let embedder = Embedder { penalty_base: base, ..Default::default() };
+            let outcome = std::panic::catch_unwind(|| {
+                embedder.embed(3, &complete_edges(3), &Topology::grid(4, 4))
+            });
+            assert!(outcome.is_err(), "penalty_base {base} was accepted");
+        }
     }
 
     #[test]
