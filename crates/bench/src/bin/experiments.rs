@@ -8,6 +8,8 @@
 //! experiments bench [STAGES]... [--full|--smoke] [--bench-out PATH] ...
 //! experiments serve-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH]
 //!             [--bench-out PATH] [--embed-latency-gate] [--calibrated]
+//! experiments sched-bench [--smoke] [--seed N] [--csv DIR] [--metrics-out PATH]
+//!             [--bench-out PATH]
 //! experiments robustness-bench [--smoke] [--seed N] [--instances N] [--csv DIR]
 //!             [--metrics-out PATH] [--bench-out PATH] [--faults SPEC]
 //! experiments manifest-diff BASELINE CURRENT
@@ -69,7 +71,11 @@
 //! gated `serve.requests_per_sec` and `serve.cache_hit_rate` rates.
 //! `--embed-latency-gate` additionally fails the run unless the
 //! annealer's cold-embed and cached-embedding requests keep their p50
-//! latencies within `MAX_COLD_EMBED_P50_MS` and `MAX_WARM_EMBED_P50_MS`.
+//! latencies within `serve_bench::MAX_COLD_EMBED_P50_MS` and
+//! `serve_bench::MAX_WARM_EMBED_P50_MS`. `sched-bench` and
+//! `robustness-bench` run the same way and exit 1 when their SLO or
+//! unity gate fails; all three bench subcommands and the sweep share the
+//! stage runner in `qjo_bench::driver`.
 //!
 //! Serving telemetry (see `EXPERIMENTS.md` § Serving telemetry):
 //! `serve-bench` also writes the per-request event log
@@ -89,10 +95,13 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
+use qjo_bench::driver::{install_faults, BenchArgs, Driver};
 use qjo_bench::report::Table;
-use qjo_bench::{ablation, fig2, fig3, fig4, fig5, scaling, table1, table2, table3, timing};
+use qjo_bench::{
+    ablation, fig2, fig3, fig4, fig5, robustness, scaling, sched_bench, serve_bench, table1,
+    table2, table3, timing,
+};
 use qjo_obs::json::Json;
 use qjo_obs::manifest::{Artifact, RunManifest, StageRecord};
 
@@ -106,6 +115,15 @@ enum Mode {
 }
 
 impl Mode {
+    /// The value of one knob in this mode.
+    fn knob<T>(self, default: T, full: T, smoke: T) -> T {
+        match self {
+            Mode::Default => default,
+            Mode::Full => full,
+            Mode::Smoke => smoke,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             Mode::Default => "default",
@@ -170,9 +188,9 @@ enum Route {
     ManifestDiff(String, String),
     TraceCheck(String),
     BenchCompare(String, String),
-    ServeBench(ServeBenchOptions),
-    SchedBench(SchedBenchOptions),
-    RobustnessBench(RobustBenchOptions),
+    ServeBench(BenchArgs),
+    SchedBench(BenchArgs),
+    RobustnessBench(BenchArgs),
     EventsCheck { events: String, canonical: Option<String> },
     StatsRender(String),
     Sweep(Options),
@@ -288,290 +306,148 @@ fn parse_args(raw: &[String]) -> Result<Options, String> {
     })
 }
 
-/// Collects the tables a run produces: prints them, optionally writes the
-/// CSVs, and fingerprints every artifact for the run manifest.
-struct Driver {
-    options: Options,
-    artifacts: Vec<Artifact>,
-}
-
-/// Tables whose cells contain wall-clock measurements; their manifest
-/// entries are flagged volatile so the drift gate checks shape only.
-const VOLATILE_ARTIFACTS: &[&str] = &["scaling_classical", "serve_latency"];
-
-impl Driver {
-    fn emit(&mut self, name: &str, title: &str, table: Table) {
-        println!("== {title} ==\n");
-        println!("{}", table.render());
-        let csv = table.to_csv();
-        self.artifacts.push(Artifact {
-            name: format!("{name}.csv"),
-            rows: table.num_rows() as u64,
-            bytes: csv.len() as u64,
-            hash: qjo_obs::fnv1a64_hex(csv.as_bytes()),
-            volatile: VOLATILE_ARTIFACTS.contains(&name),
-        });
-        if let Some(dir) = &self.options.csv_dir {
-            let path = dir.join(format!("{name}.csv"));
-            match table.write_csv(&path) {
-                Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-                Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-            }
+/// Runs one sweep stage at `mode`'s knobs, emitting every table it
+/// produces through `driver`.
+fn run_sweep_stage(driver: &mut Driver, which: &str, mode: Mode) {
+    let smoke = mode == Mode::Smoke;
+    match which {
+        "table1" => {
+            let cfg = table1::Table1Config::default();
+            driver.emit_table(
+                "table1",
+                "Table 1: original vs pruned MILP model",
+                table1::render(&table1::run(&cfg)),
+            );
         }
-    }
-
-    /// Like [`Driver::emit`] for non-tabular artifacts (the serving
-    /// event logs): fingerprints `text` into the manifest under
-    /// `file_name` (verbatim — no `.csv` suffix) and, under `--csv`,
-    /// writes it atomically into the output directory. `rows` is the
-    /// record count the volatile gate checks.
-    fn emit_raw(&mut self, file_name: &str, text: &str, rows: u64, volatile: bool) {
-        self.artifacts.push(Artifact {
-            name: file_name.to_string(),
-            rows,
-            bytes: text.len() as u64,
-            hash: qjo_obs::fnv1a64_hex(text.as_bytes()),
-            volatile,
-        });
-        if let Some(dir) = &self.options.csv_dir {
-            let path = dir.join(file_name);
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                qjo_obs::error!("failed to create {}: {e}", dir.display());
-                return;
-            }
-            match qjo_resil::atomic_write(&path, text.as_bytes()) {
-                Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-                Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-            }
+        "fig2" => {
+            let cfg = fig2::Fig2Config { repetitions: mode.knob(10, 20, 3), ..Default::default() };
+            driver.emit_table(
+                "fig2",
+                "Figure 2: transpiled QAOA circuit depths on IBM Q",
+                fig2::render(&fig2::run(&cfg)),
+            );
         }
-    }
-
-    fn run_stage(&mut self, which: &str) {
-        let mode = self.options.mode;
-        let full = mode == Mode::Full;
-        let smoke = mode == Mode::Smoke;
-        match which {
-            "table1" => {
-                let cfg = table1::Table1Config::default();
-                self.emit(
-                    "table1",
-                    "Table 1: original vs pruned MILP model",
-                    table1::render(&table1::run(&cfg)),
-                );
-            }
-            "fig2" => {
-                let cfg = fig2::Fig2Config {
-                    repetitions: if full {
-                        20
-                    } else if smoke {
-                        3
-                    } else {
-                        10
-                    },
-                    ..Default::default()
-                };
-                self.emit(
-                    "fig2",
-                    "Figure 2: transpiled QAOA circuit depths on IBM Q",
-                    fig2::render(&fig2::run(&cfg)),
-                );
-            }
-            "table2" => {
-                let cfg = table2::Table2Config {
-                    max_predicates: if full { 3 } else { usize::from(!smoke) },
-                    trajectories: if full {
-                        16
-                    } else if smoke {
-                        2
-                    } else {
-                        8
-                    },
-                    shots: if smoke { 256 } else { 1024 },
-                    iteration_budgets: if smoke { vec![20] } else { vec![20, 50] },
-                    ..Default::default()
-                };
-                self.emit(
-                    "table2",
-                    "Table 2: QAOA solution quality under the Auckland noise model",
-                    table2::render(&table2::run(&cfg)),
-                );
-            }
-            "fig3" => {
-                let cfg = fig3::Fig3Config {
-                    relations: if full {
-                        (3..=10).collect()
-                    } else if smoke {
-                        (3..=4).collect()
-                    } else {
-                        (3..=6).collect()
-                    },
-                    pegasus_m: if full {
-                        26
-                    } else if smoke {
-                        8
-                    } else {
-                        16
-                    },
-                    threshold_counts: if full {
-                        vec![1, 2, 4, 6, 10, 20]
-                    } else if smoke {
-                        vec![1, 2]
-                    } else {
-                        vec![1, 2, 4, 6]
-                    },
-                    ..Default::default()
-                };
-                self.emit(
-                    "fig3",
-                    "Figure 3: physical qubits to embed JO on the Pegasus-like annealer",
-                    fig3::render(&fig3::run(&cfg)),
-                );
-            }
-            "table3" => {
-                let cfg = table3::Table3Config {
-                    relations: if smoke { vec![3, 4] } else { vec![3, 4, 5] },
-                    annealing_times_us: if smoke {
-                        vec![20.0, 100.0]
-                    } else {
-                        vec![20.0, 60.0, 100.0]
-                    },
-                    instances: if full {
-                        20
-                    } else if smoke {
-                        2
-                    } else {
-                        5
-                    },
-                    num_reads: if full {
-                        1000
-                    } else if smoke {
-                        50
-                    } else {
-                        200
-                    },
-                    ..Default::default()
-                };
-                self.emit(
-                    "table3",
-                    "Table 3: annealing solution quality (SQA + ICE noise)",
-                    table3::render(&table3::run(&cfg)),
-                );
-            }
-            "fig4" => {
-                let cfg = fig4::Fig4Config::default();
-                self.emit(
-                    "fig4",
-                    "Figure 4: Theorem 5.3 logical-qubit upper bounds",
-                    fig4::render(&fig4::run(&cfg)),
-                );
-            }
-            "fig5" => {
-                let cfg = fig5::Fig5Config {
-                    relations: if full {
-                        vec![3, 4, 5, 6]
-                    } else if smoke {
-                        vec![3, 4]
-                    } else {
-                        vec![3, 4, 5]
-                    },
-                    seeds: if full {
-                        5
-                    } else if smoke {
-                        2
-                    } else {
-                        3
-                    },
-                    ..Default::default()
-                };
-                self.emit(
-                    "fig5",
-                    "Figure 5: circuit depths on hypothetical co-designed QPUs",
-                    fig5::render(&fig5::run(&cfg)),
-                );
-            }
-            "ablation" => {
-                let cfg = ablation::AblationConfig {
-                    num_reads: if smoke { 50 } else { 200 },
-                    instances: if smoke { 1 } else { 3 },
-                    ..Default::default()
-                };
-                self.emit(
-                    "ablation_penalty",
-                    "Ablation: penalty weight A vs annealed quality",
-                    ablation::render_penalty(&ablation::run_penalty(&cfg)),
-                );
-                self.emit(
-                    "ablation_pruning",
-                    "Ablation: pruned vs original model, end to end",
-                    ablation::render_pruning(&ablation::run_pruning(&cfg)),
-                );
-                let (noise_factors, noise_shots): (&[f64], usize) = if smoke {
-                    (&[0.0, 1.0, 4.0], 256)
-                } else {
-                    (&[0.0, 0.5, 1.0, 2.0, 4.0], 1024)
-                };
-                self.emit(
-                    "ablation_noise",
-                    "Ablation: gate-noise scale vs QAOA quality",
-                    ablation::render_noise(&ablation::run_noise(noise_factors, noise_shots, 0)),
-                );
-            }
-            "scaling" => {
-                let cfg = scaling::ClassicalScalingConfig {
-                    relations: if smoke { vec![6, 10, 14] } else { vec![6, 10, 14, 18, 22] },
-                    ..Default::default()
-                };
-                self.emit(
-                    "scaling_classical",
-                    "Scaling: classical join-ordering optimisers",
-                    scaling::render_classical(&scaling::run_classical(&cfg)),
-                );
-                self.emit(
-                    "scaling_generations",
-                    "Scaling: annealer hardware generations (equal 2048-qubit budgets)",
-                    scaling::render_generations(&scaling::run_hardware_generations(
-                        if smoke { &[3, 4] } else { &[3, 4, 5] },
-                        0,
-                        16,
-                    )),
-                );
-                let max_p = if full {
-                    3
-                } else if smoke {
-                    1
-                } else {
-                    2
-                };
-                self.emit(
-                    "scaling_qaoa_depth",
-                    "Scaling: QAOA quality vs depth p (noiseless)",
-                    scaling::render_qaoa_depth(&scaling::run_qaoa_depth(max_p, 0)),
-                );
-            }
-            "timing" => {
-                let cfg = timing::TimingConfig::default();
-                self.emit(
-                    "timing",
-                    "Section 4.2.1: sampling vs total QPU time",
-                    timing::render(&timing::run(&cfg)),
-                );
-            }
-            other => unreachable!("stage names are validated in parse_args: {other}"),
+        "table2" => {
+            let cfg = table2::Table2Config {
+                max_predicates: mode.knob(1, 3, 0),
+                trajectories: mode.knob(8, 16, 2),
+                shots: if smoke { 256 } else { 1024 },
+                iteration_budgets: if smoke { vec![20] } else { vec![20, 50] },
+                ..Default::default()
+            };
+            driver.emit_table(
+                "table2",
+                "Table 2: QAOA solution quality under the Auckland noise model",
+                table2::render(&table2::run(&cfg)),
+            );
         }
+        "fig3" => {
+            let cfg = fig3::Fig3Config {
+                relations: mode.knob(3..=6, 3..=10, 3..=4).collect(),
+                pegasus_m: mode.knob(16, 26, 8),
+                threshold_counts: mode.knob(vec![1, 2, 4, 6], vec![1, 2, 4, 6, 10, 20], vec![1, 2]),
+                ..Default::default()
+            };
+            driver.emit_table(
+                "fig3",
+                "Figure 3: physical qubits to embed JO on the Pegasus-like annealer",
+                fig3::render(&fig3::run(&cfg)),
+            );
+        }
+        "table3" => {
+            let cfg = table3::Table3Config {
+                relations: if smoke { vec![3, 4] } else { vec![3, 4, 5] },
+                annealing_times_us: if smoke { vec![20.0, 100.0] } else { vec![20.0, 60.0, 100.0] },
+                instances: mode.knob(5, 20, 2),
+                num_reads: mode.knob(200, 1000, 50),
+                ..Default::default()
+            };
+            driver.emit_table(
+                "table3",
+                "Table 3: annealing solution quality (SQA + ICE noise)",
+                table3::render(&table3::run(&cfg)),
+            );
+        }
+        "fig4" => {
+            let cfg = fig4::Fig4Config::default();
+            driver.emit_table(
+                "fig4",
+                "Figure 4: Theorem 5.3 logical-qubit upper bounds",
+                fig4::render(&fig4::run(&cfg)),
+            );
+        }
+        "fig5" => {
+            let cfg = fig5::Fig5Config {
+                relations: mode.knob(vec![3, 4, 5], vec![3, 4, 5, 6], vec![3, 4]),
+                seeds: mode.knob(3, 5, 2),
+                ..Default::default()
+            };
+            driver.emit_table(
+                "fig5",
+                "Figure 5: circuit depths on hypothetical co-designed QPUs",
+                fig5::render(&fig5::run(&cfg)),
+            );
+        }
+        "ablation" => {
+            let cfg = ablation::AblationConfig {
+                num_reads: if smoke { 50 } else { 200 },
+                instances: if smoke { 1 } else { 3 },
+                ..Default::default()
+            };
+            driver.emit_table(
+                "ablation_penalty",
+                "Ablation: penalty weight A vs annealed quality",
+                ablation::render_penalty(&ablation::run_penalty(&cfg)),
+            );
+            driver.emit_table(
+                "ablation_pruning",
+                "Ablation: pruned vs original model, end to end",
+                ablation::render_pruning(&ablation::run_pruning(&cfg)),
+            );
+            let (noise_factors, noise_shots): (&[f64], usize) =
+                if smoke { (&[0.0, 1.0, 4.0], 256) } else { (&[0.0, 0.5, 1.0, 2.0, 4.0], 1024) };
+            driver.emit_table(
+                "ablation_noise",
+                "Ablation: gate-noise scale vs QAOA quality",
+                ablation::render_noise(&ablation::run_noise(noise_factors, noise_shots, 0)),
+            );
+        }
+        "scaling" => {
+            let cfg = scaling::ClassicalScalingConfig {
+                relations: if smoke { vec![6, 10, 14] } else { vec![6, 10, 14, 18, 22] },
+                ..Default::default()
+            };
+            driver.emit_table(
+                "scaling_classical",
+                "Scaling: classical join-ordering optimisers",
+                scaling::render_classical(&scaling::run_classical(&cfg)),
+            );
+            driver.emit_table(
+                "scaling_generations",
+                "Scaling: annealer hardware generations (equal 2048-qubit budgets)",
+                scaling::render_generations(&scaling::run_hardware_generations(
+                    if smoke { &[3, 4] } else { &[3, 4, 5] },
+                    0,
+                    16,
+                )),
+            );
+            let max_p = mode.knob(2, 3, 1);
+            driver.emit_table(
+                "scaling_qaoa_depth",
+                "Scaling: QAOA quality vs depth p (noiseless)",
+                scaling::render_qaoa_depth(&scaling::run_qaoa_depth(max_p, 0)),
+            );
+        }
+        "timing" => {
+            let cfg = timing::TimingConfig::default();
+            driver.emit_table(
+                "timing",
+                "Section 4.2.1: sampling vs total QPU time",
+                timing::render(&timing::run(&cfg)),
+            );
+        }
+        other => unreachable!("stage names are validated in parse_args: {other}"),
     }
-}
-
-/// The commit the binary runs from, for the manifest's volatile section.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -706,7 +582,7 @@ fn load_stage_checkpoint(path: &Path, fingerprint: &str, stage: &str) -> Option<
 
 /// Replays a checkpointed stage into the live process: counter deltas are
 /// re-added, gauges re-set, and artifacts re-fingerprinted from record.
-fn replay_stage(ckpt: &StageCheckpoint, name: &str, driver: &mut Driver) -> StageRecord {
+fn replay_stage(ckpt: &StageCheckpoint, name: &str, driver: &mut Driver) {
     for (counter, &delta) in &ckpt.counters {
         qjo_obs::counter(counter).add(delta);
     }
@@ -714,11 +590,11 @@ fn replay_stage(ckpt: &StageCheckpoint, name: &str, driver: &mut Driver) -> Stag
         qjo_obs::gauge(gauge).set(value);
     }
     driver.artifacts.extend(ckpt.artifacts.iter().cloned());
-    StageRecord {
+    driver.stages.push(StageRecord {
         name: name.to_string(),
         duration_ms: ckpt.duration_ms,
         counters: ckpt.counters.clone(),
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -755,74 +631,13 @@ fn assemble_convergence(driver: &mut Driver, blocks: &BTreeMap<String, BTreeMap<
         for block in phases.values() {
             csv.push_str(block);
         }
-        let name = format!("convergence_{group}.csv");
-        driver.artifacts.push(Artifact {
-            name: name.clone(),
-            rows: csv.lines().count().saturating_sub(1) as u64,
-            bytes: csv.len() as u64,
-            hash: qjo_obs::fnv1a64_hex(csv.as_bytes()),
-            volatile: false,
-        });
-        if let Some(dir) = &driver.options.csv_dir {
-            let path = dir.join(&name);
-            match qjo_resil::atomic_write(&path, csv.as_bytes()) {
-                Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-                Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-            }
-        }
+        let rows = csv.lines().count().saturating_sub(1) as u64;
+        driver.emit(&format!("convergence_{group}.csv"), &csv, rows, false);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Final outputs
-
-/// Where the manifest goes; `None` when `QJO_MANIFEST` opts out.
-fn manifest_path(options: &Options) -> Option<PathBuf> {
-    if let Ok(v) = std::env::var("QJO_MANIFEST") {
-        if matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false" | "no") {
-            return None;
-        }
-    }
-    Some(options.metrics_out.clone().unwrap_or_else(|| {
-        options.csv_dir.as_deref().unwrap_or(Path::new("results")).join("run_manifest.json")
-    }))
-}
-
-fn write_manifest(
-    options: &Options,
-    stages: Vec<StageRecord>,
-    artifacts: Vec<Artifact>,
-    total: f64,
-) {
-    let Some(path) = manifest_path(options) else {
-        qjo_obs::debug!("run manifest disabled via QJO_MANIFEST");
-        return;
-    };
-    let mut manifest = RunManifest::default();
-    manifest.run.insert("git_rev".to_string(), Json::from(git_rev()));
-    manifest
-        .run
-        .insert("threads".to_string(), Json::from(qjo_exec::Parallelism::auto().resolve() as u64));
-    manifest.run.insert("mode".to_string(), Json::from(options.mode.name()));
-    manifest.run.insert(
-        "experiments".to_string(),
-        Json::Arr(options.which.iter().map(|w| Json::from(w.as_str())).collect()),
-    );
-    if let Some(plan) = qjo_resil::fault::active() {
-        manifest.run.insert("faults".to_string(), Json::from(plan.render()));
-    }
-    if options.resume {
-        manifest.run.insert("resumed".to_string(), Json::Bool(true));
-    }
-    manifest.run.insert("total_duration_ms".to_string(), Json::from((total * 1e3).round() / 1e3));
-    manifest.stages = stages;
-    manifest.set_metrics(&qjo_obs::global().snapshot());
-    manifest.artifacts = artifacts;
-    match qjo_resil::atomic_write(&path, manifest.render().as_bytes()) {
-        Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-        Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-    }
-}
 
 /// `manifest-diff BASELINE CURRENT`: compare deterministic sections, exit
 /// 1 on drift. Drift is reported as a per-key table of expected
@@ -864,8 +679,8 @@ fn manifest_diff(baseline_path: &str, current_path: &str) -> ! {
 /// minor-embedder's shortest-path kernel: every smoke sweep is
 /// deterministic, so its try count is fixed and the rate moves only with
 /// the time spent embedding. All are stable enough that a 2× drop
-/// clears run-to-run noise on the 1-core CI runner. The other
-/// `RATE_PAIRS` are reported informationally.
+/// clears run-to-run noise on the 1-core CI runner. The other rates in
+/// `BENCH.json` are reported informationally.
 const GATED_RATES: &[&str] = &[
     "embed.tries_per_sec",
     "gatesim.shots_per_sec",
@@ -1226,568 +1041,39 @@ fn finish_trace(options: &Options) -> Option<qjo_obs::trace::TraceStats> {
     })
 }
 
-/// Counter / span pairs whose ratio is a meaningful work rate, and the
-/// rate's name in `BENCH.json` (work units per wall-clock second spent
-/// inside the span).
-const RATE_PAIRS: &[(&str, &str, &str)] = &[
-    ("anneal.reads", "anneal.sample", "anneal.reads_per_sec"),
-    ("embed.tries", "anneal.embed", "embed.tries_per_sec"),
-    ("gatesim.shots", "gatesim.noisy.sample", "gatesim.shots_per_sec"),
-    ("robust.evals", "robust.eval", "robust.evals_per_sec"),
-    ("sa.sweeps", "qubo.sa.sample", "sa.sweeps_per_sec"),
-    ("sched.races", "serve.request", "sched.races_per_sec"),
-    ("serve.requests", "serve.request", "serve.requests_per_sec"),
-    ("sqa.sweeps", "anneal.sample", "sqa.sweeps_per_sec"),
-    ("tabu.iterations", "qubo.tabu.solve", "tabu.iterations_per_sec"),
-    ("transpile.runs", "transpile.run", "transpile.runs_per_sec"),
-];
-
-/// Schema version of `BENCH.json`.
-const BENCH_SCHEMA_VERSION: u64 = 1;
-
-fn round3(v: f64) -> f64 {
-    (v * 1e3).round() / 1e3
+/// Parses `serve-bench` arguments: the shared bench flags plus
+/// `--embed-latency-gate` and `--calibrated`.
+fn parse_serve_args(raw: &[String]) -> Result<BenchArgs, String> {
+    BenchArgs::parse("serve-bench", &["--embed-latency-gate", "--calibrated"], raw)
 }
 
-/// Writes `BENCH.json`: the per-run performance trajectory record (wall
-/// times, work rates, span percentiles, trace-buffer statistics). All
-/// values here are timing-derived and therefore volatile — `BENCH.json`
-/// is never diffed, only archived per PR for trend analysis.
-fn write_bench(
-    options: &Options,
-    stages: &[StageRecord],
-    total_ms: f64,
-    trace_stats: Option<qjo_obs::trace::TraceStats>,
-) {
-    let Some(path) = &options.bench_out else {
-        return;
-    };
-    let snapshot = qjo_obs::global().snapshot();
-    let mut root = BTreeMap::new();
-    root.insert("schema_version".to_string(), Json::from(BENCH_SCHEMA_VERSION));
-
-    let mut run = BTreeMap::new();
-    run.insert("git_rev".to_string(), Json::from(git_rev()));
-    run.insert("threads".to_string(), Json::from(qjo_exec::Parallelism::auto().resolve() as u64));
-    run.insert("mode".to_string(), Json::from(options.mode.name()));
-    run.insert("total_ms".to_string(), Json::from(round3(total_ms)));
-    root.insert("run".to_string(), Json::Obj(run));
-
-    let stage_list = stages
-        .iter()
-        .map(|stage| {
-            let mut obj = BTreeMap::new();
-            obj.insert("name".to_string(), Json::from(stage.name.as_str()));
-            obj.insert("duration_ms".to_string(), Json::from(round3(stage.duration_ms)));
-            Json::Obj(obj)
-        })
-        .collect();
-    root.insert("stages".to_string(), Json::Arr(stage_list));
-
-    let mut rates = BTreeMap::new();
-    for &(counter, span, rate) in RATE_PAIRS {
-        let Some(&work) = snapshot.counters.get(counter) else { continue };
-        // Spans nest into slash-separated paths (one histogram per call
-        // path), so total the span's time across every path it appears in.
-        let suffix = format!("/{span}");
-        let span_ns: u64 = snapshot
-            .histograms
-            .iter()
-            .filter(|(path, _)| path.as_str() == span || path.ends_with(&suffix))
-            .map(|(_, h)| h.sum_ns)
-            .sum();
-        if work == 0 || span_ns == 0 {
-            continue;
-        }
-        rates.insert(rate.to_string(), Json::from(round3(work as f64 / (span_ns as f64 / 1e9))));
-    }
-    // Not a counter/span pair: the formulation-cache hit *ratio*,
-    // hits / (hits + misses). It rides in the rates section so
-    // `bench-compare` gates it with the same machinery.
-    let cache = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-    let (hits, misses) = (cache("serve.cache.hit"), cache("serve.cache.miss"));
-    if hits + misses > 0 {
-        rates.insert(
-            "serve.cache_hit_rate".to_string(),
-            Json::from(round3(hits as f64 / (hits + misses) as f64)),
-        );
-    }
-    // Same shape for the portfolio's plateau early-cancel *ratio*:
-    // racers cancelled on a plateau over racers entered. Deterministic
-    // (races run on model budgets), so the gate catches any change to
-    // the plateau predicate or the budget split, not timing noise.
-    let (cancelled, entered) = (cache("sched.racers.cancelled"), cache("sched.racers.entered"));
-    if entered > 0 {
-        rates.insert(
-            "sched.cancel_rate".to_string(),
-            Json::from(round3(cancelled as f64 / entered as f64)),
-        );
-    }
-    root.insert("rates".to_string(), Json::Obj(rates));
-
-    let spans = snapshot
-        .histograms
-        .iter()
-        .map(|(span_path, h)| {
-            let mut obj = BTreeMap::new();
-            obj.insert("count".to_string(), Json::from(h.count));
-            obj.insert("total_ms".to_string(), Json::from(round3(h.sum_ns as f64 / 1e6)));
-            obj.insert("p50_ms".to_string(), Json::from(round3(h.percentile_ms(0.50))));
-            obj.insert("p90_ms".to_string(), Json::from(round3(h.percentile_ms(0.90))));
-            obj.insert("p99_ms".to_string(), Json::from(round3(h.percentile_ms(0.99))));
-            (span_path.clone(), Json::Obj(obj))
-        })
-        .collect();
-    root.insert("spans".to_string(), Json::Obj(spans));
-
-    root.insert(
-        "counters".to_string(),
-        Json::Obj(snapshot.counters.iter().map(|(k, &v)| (k.clone(), Json::from(v))).collect()),
-    );
-
-    if let Some(stats) = trace_stats {
-        let mut t = BTreeMap::new();
-        t.insert("events".to_string(), Json::from(stats.stored));
-        t.insert("recorded".to_string(), Json::from(stats.recorded));
-        t.insert("dropped".to_string(), Json::from(stats.dropped));
-        t.insert("peak_occupancy".to_string(), Json::from(stats.peak_occupancy));
-        root.insert("trace".to_string(), Json::Obj(t));
-    }
-
-    match qjo_resil::atomic_write(path, Json::Obj(root).render().as_bytes()) {
-        Ok(()) => qjo_obs::info!("wrote {}", path.display()),
-        Err(e) => qjo_obs::error!("failed to write {}: {e}", path.display()),
-    }
+/// Parses `sched-bench` arguments: the shared bench flags only.
+fn parse_sched_args(raw: &[String]) -> Result<BenchArgs, String> {
+    BenchArgs::parse("sched-bench", &[], raw)
 }
 
-/// `--embed-latency-gate` bound on the annealer's cold-embed p50, in ms.
-/// Absolute bounds replace the former cold/warm p50 ratio floor, which
-/// rewarded a slow cold path. Both bounds are the serving baseline's p50s
-/// (880.8 and 9.9 ms) from before the embedder's shortest-path kernel got
-/// faster, rounded to whole milliseconds.
-const MAX_COLD_EMBED_P50_MS: f64 = 880.0;
-
-/// `--embed-latency-gate` bound on the p50 of annealer requests served a
-/// cached embedding, in ms.
-const MAX_WARM_EMBED_P50_MS: f64 = 10.0;
-
-/// Arguments of the `serve-bench` subcommand.
-#[derive(Debug)]
-struct ServeBenchOptions {
-    seed: u64,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    /// Fail the run unless the annealer's cold- and warm-embed p50
-    /// latencies stay within `MAX_COLD_EMBED_P50_MS` and
-    /// `MAX_WARM_EMBED_P50_MS`.
-    embed_latency_gate: bool,
-    /// Admit deadlines from the observed work model instead of the
-    /// static one (not drift-gateable).
-    calibrated: bool,
+/// Parses `robustness-bench` arguments: the shared bench flags plus
+/// `--instances` and `--faults`. `--faults` is honoured here (unlike the
+/// other benches) because the chaos-compose CI step runs this subcommand
+/// under the committed fault plan.
+fn parse_robust_args(raw: &[String]) -> Result<BenchArgs, String> {
+    BenchArgs::parse("robustness-bench", &["--instances", "--faults"], raw)
 }
 
-/// Parses `serve-bench` arguments. `--smoke` is accepted (and implied:
-/// the committed smoke mixes are the only profile) so the subcommand
-/// composes with CI recipes that pass the mode everywhere.
-fn parse_serve_args(raw: &[String]) -> Result<ServeBenchOptions, String> {
-    let mut opts = ServeBenchOptions {
-        seed: 7,
-        csv_dir: None,
-        metrics_out: None,
-        bench_out: None,
-        embed_latency_gate: false,
-        calibrated: false,
-    };
-    let mut args = raw.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--smoke" => {}
-            "--embed-latency-gate" => opts.embed_latency_gate = true,
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an unsigned integer: {e}"))?;
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            "--calibrated" => opts.calibrated = true,
-            other => return Err(format!("serve-bench: unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-/// `serve-bench`: run the seeded serving benchmark and emit its
-/// artifacts through the same driver machinery as the sweep (report +
-/// latency CSVs, run manifest, optional `BENCH.json`). Exits 1 when
-/// `--embed-latency-gate` is given and an annealer embed p50 exceeds its
-/// bound.
-fn run_serve_bench(sopts: ServeBenchOptions) -> ! {
-    let options = Options {
-        which: vec!["serve".to_string()],
-        mode: Mode::Smoke,
-        csv_dir: sopts.csv_dir,
-        metrics_out: sopts.metrics_out,
-        trace_out: None,
-        bench_out: sopts.bench_out,
-        convergence: false,
-        faults: None,
-        resume: false,
-        halt_after: None,
-    };
-    let run_start = Instant::now();
-    let before = qjo_obs::global().snapshot();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg =
-        qjo_bench::serve_bench::ServeBenchConfig { seed: sopts.seed, calibrated: sopts.calibrated };
-    if cfg.calibrated {
-        qjo_obs::info!(
-            "calibrated admission: deadlines steer on observed latencies; \
-             this run is not drift-gateable"
-        );
-    }
-    let stage_start = Instant::now();
-    let result = {
-        let _span = qjo_obs::span!("experiments.stage");
-        qjo_bench::serve_bench::run(&cfg, qjo_exec::Parallelism::auto())
-    };
-    let elapsed = stage_start.elapsed();
-    driver.emit(
-        "serve_report",
-        "Serving: deterministic per-backend report",
-        qjo_bench::serve_bench::render_report(&result.report),
+/// Runs a bench subcommand as the single live stage `stage` of a smoke
+/// run, then writes its outputs and exits with the stage's gate verdict:
+/// the `serve-bench` embed-latency gate, the `sched-bench` SLO gate, or
+/// the `robustness-bench` unity gate.
+fn run_bench(stage: &str, args: &BenchArgs, body: fn(&mut Driver, &BenchArgs) -> bool) -> ! {
+    let mut driver = Driver::new(
+        Mode::Smoke.name(),
+        vec![stage.to_string()],
+        args.csv_dir.clone(),
+        args.metrics_out.clone(),
+        args.bench_out.clone(),
     );
-    driver.emit(
-        "serve_latency",
-        "Serving: wall-clock latency percentiles (volatile)",
-        qjo_bench::serve_bench::render_latency(&result.latency),
-    );
-    // The per-request telemetry: the full event log carries wall-clock
-    // latencies (volatile, gated on record count); its canonical
-    // projection and the final stats snapshot's counters are pure
-    // functions of the request stream — unless admission is calibrated,
-    // in which case the admission decisions themselves depend on
-    // observed latencies and neither can gate.
-    let rows = result.events.len() as u64;
-    let volatile_canonical = cfg.calibrated;
-    driver.emit_raw(
-        "serve_events.jsonl",
-        &qjo_serve::events::render_log(&result.events),
-        rows,
-        true,
-    );
-    driver.emit_raw(
-        "serve_events.canonical.jsonl",
-        &qjo_serve::events::render_canonical(&result.events),
-        rows,
-        volatile_canonical,
-    );
-    driver.emit_raw("serve_stats.json", &format!("{}\n", result.stats.render()), 1, true);
-    let stages = vec![StageRecord {
-        name: "serve".to_string(),
-        duration_ms: elapsed.as_secs_f64() * 1e3,
-        counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-    }];
-    qjo_obs::info!("[serve took {elapsed:.1?}] ({} requests)", result.requests);
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, None);
-    write_manifest(&options, stages, artifacts, total_ms);
-    match result.embed_speedup {
-        Some(speedup) => {
-            qjo_obs::info!("embedding cache speedup: cold p50 / warm p50 = {speedup:.1}×")
-        }
-        None => qjo_obs::info!("embedding cache speedup: not observed (no cold/warm pair)"),
-    }
-    if !sopts.embed_latency_gate {
-        std::process::exit(0);
-    }
-    let mut failed = false;
-    for (key, bound) in
-        [("annealer:cold", MAX_COLD_EMBED_P50_MS), ("annealer:warm", MAX_WARM_EMBED_P50_MS)]
-    {
-        match result.latency.iter().find(|r| r.key == key).map(|r| r.p50_us as f64 / 1e3) {
-            Some(p50) if p50 <= bound => {
-                qjo_obs::info!("{key} p50 {p50:.1} ms is within the {bound} ms bound")
-            }
-            Some(p50) => {
-                qjo_obs::error!("{key} p50 {p50:.1} ms exceeds the {bound} ms bound");
-                failed = true;
-            }
-            None => {
-                qjo_obs::error!(
-                    "{key} p50 bound ({bound} ms) requires {key} requests, but the mix produced none"
-                );
-                failed = true;
-            }
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
-}
-
-/// Arguments of the `sched-bench` subcommand.
-#[derive(Debug)]
-struct SchedBenchOptions {
-    seed: u64,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-}
-
-/// Parses `sched-bench` arguments. As with `serve-bench`, `--smoke` is
-/// accepted and implied — the matched replay is the only profile.
-fn parse_sched_args(raw: &[String]) -> Result<SchedBenchOptions, String> {
-    let mut opts = SchedBenchOptions { seed: 7, csv_dir: None, metrics_out: None, bench_out: None };
-    let mut args = raw.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--smoke" => {}
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an unsigned integer: {e}"))?;
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            other => return Err(format!("sched-bench: unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-/// `sched-bench`: replay the deterministic instance mix against the
-/// `auto` portfolio and every static backend, emit the drift-gated
-/// report and event logs, and enforce the headline SLO gate: `auto`
-/// must meet strictly more deadline-carrying SLOs than the best single
-/// static backend (greedy excluded — it is the fallback) at a strictly
-/// lower mean plan cost than greedy. Exits 1 when the gate fails.
-fn run_sched_bench(sopts: SchedBenchOptions) -> ! {
-    let options = Options {
-        which: vec!["sched".to_string()],
-        mode: Mode::Smoke,
-        csv_dir: sopts.csv_dir,
-        metrics_out: sopts.metrics_out,
-        trace_out: None,
-        bench_out: sopts.bench_out,
-        convergence: false,
-        faults: None,
-        resume: false,
-        halt_after: None,
-    };
-    let run_start = Instant::now();
-    let before = qjo_obs::global().snapshot();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg = qjo_bench::sched_bench::SchedBenchConfig { seed: sopts.seed };
-    let stage_start = Instant::now();
-    let result = {
-        let _span = qjo_obs::span!("experiments.stage");
-        qjo_bench::sched_bench::run(&cfg, qjo_exec::Parallelism::auto())
-    };
-    let elapsed = stage_start.elapsed();
-    driver.emit(
-        "sched_report",
-        "Scheduling: racing portfolio vs static backends on the matched mix",
-        qjo_bench::sched_bench::render_report(&result.report),
-    );
-    // As in serve-bench: the full event log carries wall-clock latencies
-    // (volatile); the canonical projection is a pure function of the
-    // request stream and drift-gates byte-for-byte.
-    let rows = result.events.len() as u64;
-    driver.emit_raw(
-        "sched_events.jsonl",
-        &qjo_serve::events::render_log(&result.events),
-        rows,
-        true,
-    );
-    driver.emit_raw(
-        "sched_events.canonical.jsonl",
-        &qjo_serve::events::render_canonical(&result.events),
-        rows,
-        false,
-    );
-    let stages = vec![StageRecord {
-        name: "sched".to_string(),
-        duration_ms: elapsed.as_secs_f64() * 1e3,
-        counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-    }];
-    qjo_obs::info!(
-        "[sched took {elapsed:.1?}] ({} backends x {} requests)",
-        result.report.len(),
-        result.report.first().map_or(0, |r| r.requests)
-    );
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, None);
-    write_manifest(&options, stages, artifacts, total_ms);
-    let gate = &result.gate;
-    qjo_obs::info!(
-        "SLO gate: auto met {} vs best static {} ({}); geomean cost {:.3e} vs greedy {:.3e}",
-        gate.auto_met,
-        gate.best_static.1,
-        gate.best_static.0,
-        gate.auto_geomean_cost,
-        gate.greedy_geomean_cost
-    );
-    if !gate.pass {
-        qjo_obs::error!(
-            "sched SLO gate failed: auto must meet strictly more deadlines than the best \
-             static backend and beat greedy on geometric-mean plan cost"
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-#[derive(Debug)]
-struct RobustBenchOptions {
-    seed: u64,
-    instances: usize,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    faults: Option<String>,
-}
-
-/// Parses `robustness-bench` arguments. `--smoke` is accepted and
-/// implied — the q-error sweep is the only profile. `--faults` is
-/// honoured here (unlike the other benches) because the chaos-compose
-/// CI step runs this subcommand under the committed fault plan.
-fn parse_robust_args(raw: &[String]) -> Result<RobustBenchOptions, String> {
-    let mut opts = RobustBenchOptions {
-        seed: 7,
-        instances: 2,
-        csv_dir: None,
-        metrics_out: None,
-        bench_out: None,
-        faults: None,
-    };
-    let mut args = raw.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--smoke" => {}
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an unsigned integer: {e}"))?;
-            }
-            "--instances" => {
-                opts.instances = value("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances must be a positive integer: {e}"))?;
-                if opts.instances == 0 {
-                    return Err("--instances must be at least 1".to_string());
-                }
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--bench-out" => opts.bench_out = Some(PathBuf::from(value("--bench-out")?)),
-            "--faults" => opts.faults = Some(value("--faults")?),
-            other => return Err(format!("robustness-bench: unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-/// `robustness-bench`: the cardinality-misestimation degradation sweep.
-/// Every backend (the `auto` portfolio included) optimises each schema
-/// instance under the true statistics and under q-error-injected
-/// estimates; both plans re-cost under the truth and the report carries
-/// the degradation ratios. Exits 1 when any q-error-1 cell deviates from
-/// a degradation of exactly 1.0 — the sweep's built-in self-check.
-fn run_robustness_bench(ropts: RobustBenchOptions) -> ! {
-    // The main() fault hook only covers the sweep route, so this
-    // subcommand installs its own plan: --faults wins over QJO_FAULTS.
-    if let Some(spec) = &ropts.faults {
-        match qjo_resil::FaultPlan::parse(spec) {
-            Ok(plan) => qjo_resil::fault::install(plan),
-            Err(e) => {
-                eprintln!("error: --faults: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else if let Err(e) = qjo_resil::fault::install_from_env() {
-        eprintln!("error: QJO_FAULTS: {e}");
-        std::process::exit(2);
-    }
-    if let Some(plan) = qjo_resil::fault::active() {
-        qjo_obs::info!("fault injection active: {}", plan.render());
-    }
-    let options = Options {
-        which: vec!["robust".to_string()],
-        mode: Mode::Smoke,
-        csv_dir: ropts.csv_dir,
-        metrics_out: ropts.metrics_out,
-        trace_out: None,
-        bench_out: ropts.bench_out,
-        convergence: false,
-        faults: None,
-        resume: false,
-        halt_after: None,
-    };
-    let run_start = Instant::now();
-    let before = qjo_obs::global().snapshot();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let cfg = qjo_bench::robustness::RobustnessConfig {
-        seed: ropts.seed,
-        instances: ropts.instances,
-        ..Default::default()
-    };
-    let stage_start = Instant::now();
-    let result = {
-        let _span = qjo_obs::span!("experiments.stage");
-        qjo_bench::robustness::run(&cfg, qjo_exec::Parallelism::auto())
-    };
-    let elapsed = stage_start.elapsed();
-    driver.emit(
-        "robustness_report",
-        "Robustness: plan-cost degradation under cardinality misestimation",
-        qjo_bench::robustness::render_report(&result.report),
-    );
-    driver.emit(
-        "robustness_curve",
-        "Robustness: per-instance degradation curve",
-        qjo_bench::robustness::render_curve(&result.curve),
-    );
-    let stages = vec![StageRecord {
-        name: "robust".to_string(),
-        duration_ms: elapsed.as_secs_f64() * 1e3,
-        counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-    }];
-    qjo_obs::info!(
-        "[robust took {elapsed:.1?}] ({} cells, worst q-error {:.2})",
-        result.report.len(),
-        qjo_obs::gauge("robust.qerror").get()
-    );
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, None);
-    write_manifest(&options, stages, artifacts, total_ms);
-    let gate = &result.gate;
-    qjo_obs::info!(
-        "unity gate: {} q-error-1 cells checked, {} violations",
-        gate.checked,
-        gate.violations.len()
-    );
-    if !gate.pass {
-        for v in &gate.violations {
-            qjo_obs::error!("unity violation: {v}");
-        }
-        qjo_obs::error!(
-            "robustness unity gate failed: every backend must degrade by exactly 1.0 \
-             when the estimates equal the truth"
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
+    let passed = driver.run_stage(stage, |d| body(d, args));
+    std::process::exit(driver.finish(None, passed))
 }
 
 fn main() {
@@ -1804,32 +1090,18 @@ fn main() {
         Route::ManifestDiff(baseline, current) => manifest_diff(&baseline, &current),
         Route::TraceCheck(trace) => trace_check(&trace),
         Route::BenchCompare(baseline, current) => bench_compare(&baseline, &current),
-        Route::ServeBench(sopts) => run_serve_bench(sopts),
-        Route::SchedBench(sopts) => run_sched_bench(sopts),
-        Route::RobustnessBench(ropts) => run_robustness_bench(ropts),
+        Route::ServeBench(args) => run_bench("serve", &args, serve_bench::stage),
+        Route::SchedBench(args) => run_bench("sched", &args, sched_bench::stage),
+        Route::RobustnessBench(args) => {
+            install_faults(args.faults.as_deref());
+            run_bench("robust", &args, robustness::stage)
+        }
         Route::EventsCheck { events, canonical } => events_check(&events, canonical.as_deref()),
         Route::StatsRender(stats) => stats_render(&stats),
         Route::Sweep(options) => options,
     };
 
-    // Fault plan: --faults wins over QJO_FAULTS; a malformed spec from
-    // either source is a usage error.
-    if let Some(spec) = &options.faults {
-        match qjo_resil::FaultPlan::parse(spec) {
-            Ok(plan) => qjo_resil::fault::install(plan),
-            Err(e) => {
-                eprintln!("error: --faults: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else if let Err(e) = qjo_resil::fault::install_from_env() {
-        eprintln!("error: QJO_FAULTS: {e}");
-        std::process::exit(2);
-    }
-    if let Some(plan) = qjo_resil::fault::active() {
-        qjo_obs::info!("fault injection active: {}", plan.render());
-    }
-
+    install_faults(options.faults.as_deref());
     let tracing = options.trace_out.is_some();
     if tracing {
         qjo_obs::trace::start(qjo_obs::trace::DEFAULT_THREAD_CAPACITY);
@@ -1848,26 +1120,31 @@ fn main() {
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
 
-    let run_start = Instant::now();
-    let mut driver = Driver { options, artifacts: Vec::new() };
-    let mut stages = Vec::new();
+    let mut driver = Driver::new(
+        options.mode.name(),
+        options.which.clone(),
+        options.csv_dir.clone(),
+        options.metrics_out.clone(),
+        options.bench_out.clone(),
+    );
+    driver.resumed = options.resume;
     // group -> phase (stage) -> header-stripped CSV rows.
     let mut convergence_blocks: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    let mut replaying = driver.options.resume;
+    let mut replaying = options.resume;
     let mut halted = false;
-    for which in driver.options.which.clone() {
+    for which in &options.which {
         let ckpt_path = ckpt_dir.join(format!("{which}.json"));
         if replaying {
-            if let Some(ckpt) = load_stage_checkpoint(&ckpt_path, &fingerprint, &which) {
+            if let Some(ckpt) = load_stage_checkpoint(&ckpt_path, &fingerprint, which) {
                 for (group, block) in &ckpt.convergence {
                     convergence_blocks
                         .entry(group.clone())
                         .or_default()
                         .insert(which.clone(), block.clone());
                 }
-                stages.push(replay_stage(&ckpt, &which, &mut driver));
+                replay_stage(&ckpt, which, &mut driver);
                 qjo_obs::info!("[{which} replayed from checkpoint]");
-                if driver.options.halt_after.as_deref() == Some(which.as_str()) {
+                if options.halt_after.as_ref() == Some(which) {
                     halted = true;
                     break;
                 }
@@ -1878,17 +1155,13 @@ fn main() {
             replaying = false;
         }
         let artifacts_before = driver.artifacts.len();
-        let before = qjo_obs::global().snapshot();
-        let start = Instant::now();
-        {
-            let _span = qjo_obs::span!("experiments.stage");
+        driver.run_stage(which, |driver| {
             let _slice = tracing.then(|| qjo_obs::trace::slice_scope(format!("stage:{which}")));
             if convergence_on {
-                qjo_obs::convergence::set_phase(&which);
+                qjo_obs::convergence::set_phase(which);
             }
-            driver.run_stage(&which);
-        }
-        let elapsed = start.elapsed();
+            run_sweep_stage(driver, which, options.mode);
+        });
         let stage_blocks = drain_stage_convergence(convergence_on);
         for (group, block) in &stage_blocks {
             convergence_blocks
@@ -1896,23 +1169,17 @@ fn main() {
                 .or_default()
                 .insert(which.clone(), block.clone());
         }
-        let record = StageRecord {
-            name: which.clone(),
-            duration_ms: elapsed.as_secs_f64() * 1e3,
-            counters: qjo_obs::global().snapshot().counter_deltas_since(&before),
-        };
+        let record = driver.stages.last().expect("run_stage records the stage");
         let doc = checkpoint_doc(
             &fingerprint,
-            &record,
+            record,
             &driver.artifacts[artifacts_before..],
             &stage_blocks,
         );
         if let Err(e) = qjo_resil::checkpoint::save(&ckpt_path, &doc) {
             qjo_obs::warn!("failed to checkpoint {which}: {e}");
         }
-        stages.push(record);
-        qjo_obs::info!("[{which} took {elapsed:.1?}]");
-        if driver.options.halt_after.as_deref() == Some(which.as_str()) {
+        if options.halt_after.as_ref() == Some(which) {
             halted = true;
             break;
         }
@@ -1920,19 +1187,16 @@ fn main() {
     if halted {
         // Simulated crash: keep the checkpoints, skip the final outputs —
         // exactly what a kill -9 after the last checkpoint write leaves.
-        let halt = driver.options.halt_after.as_deref().unwrap_or_default();
+        let halt = options.halt_after.as_deref().unwrap_or_default();
         qjo_obs::info!("halted after {halt}; resume with --resume");
         return;
     }
     assemble_convergence(&mut driver, &convergence_blocks);
-    let trace_stats = finish_trace(&driver.options);
-    let total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let Driver { options, artifacts } = driver;
-    write_bench(&options, &stages, total_ms, trace_stats);
-    write_manifest(&options, stages, artifacts, total_ms);
+    let code = driver.finish(finish_trace(&options), true);
     // The sweep finished and every output is on disk: the checkpoints
     // have served their purpose.
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+    std::process::exit(code);
 }
 
 #[cfg(test)]
@@ -2106,6 +1370,46 @@ mod tests {
         assert!(parse_serve_args(&args(&["table1"])).unwrap_err().contains("unknown argument"));
         assert!(!o.calibrated);
         assert!(parse_serve_args(&args(&["--calibrated"])).unwrap().calibrated);
+    }
+
+    #[test]
+    fn sched_bench_args_parse_and_validate() {
+        let o = parse_sched_args(&args(&[
+            "--smoke",
+            "--seed",
+            "5",
+            "--csv",
+            "out",
+            "--metrics-out",
+            "M.json",
+            "--bench-out",
+            "B.json",
+        ]))
+        .unwrap();
+        assert_eq!(o.seed, 5);
+        assert_eq!(o.csv_dir.as_deref(), Some(Path::new("out")));
+        assert_eq!(o.metrics_out.as_deref(), Some(Path::new("M.json")));
+        assert_eq!(o.bench_out.as_deref(), Some(Path::new("B.json")));
+        assert_eq!(parse_sched_args(&args(&["--smoke"])).unwrap().seed, 7);
+        assert!(parse_sched_args(&args(&["--seed"])).unwrap_err().contains("requires a value"));
+        assert!(parse_sched_args(&args(&["--seed", "x"])).unwrap_err().contains("unsigned"));
+        // Flags of the other bench subcommands and stage names are not
+        // part of this grammar.
+        for cmdline in [
+            &["--faults", "seed=1;io.write=0.1"][..],
+            &["--instances", "3"],
+            &["--calibrated"],
+            &["--embed-latency-gate"],
+            &["table1"],
+            &["all"],
+        ] {
+            let err = parse_sched_args(&args(cmdline)).unwrap_err();
+            assert!(err.contains("sched-bench: unknown argument"), "{cmdline:?}: {err}");
+        }
+        assert!(matches!(route(&args(&["sched-bench", "--seed", "9"])).unwrap(),
+            Route::SchedBench(o) if o.seed == 9));
+        let err = route(&args(&["--smoke", "sched-bench"])).unwrap_err();
+        assert!(err.contains("must be the first argument"), "{err}");
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //! | [`fig5`] | Fig. 5 — co-design topology/gate-set extrapolation |
 //! | [`timing`] | §4.2.1 — `t_s` vs. `t_qpu` decomposition |
 //!
-//! [`serve_bench`] is not a paper artefact: it replays the committed
-//! serving smoke mixes against `qjo-serve` and backs the
-//! `experiments serve-bench` subcommand (see `EXPERIMENTS.md`).
+//! [`serve_bench`], [`sched_bench`] and [`robustness`] are not paper
+//! artefacts: they back the `experiments serve-bench`, `sched-bench` and
+//! `robustness-bench` subcommands (see `EXPERIMENTS.md`). Every
+//! `experiments` run goes through the stage runner in [`driver`].
 
 pub mod ablation;
+pub mod driver;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;

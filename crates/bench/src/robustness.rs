@@ -24,6 +24,7 @@ use qjo_exec::{stream_seed, Parallelism};
 use qjo_sched::smoke_service;
 use qjo_serve::Request;
 
+use crate::driver::{BenchArgs, Driver};
 use crate::report::Table;
 
 /// Backends the sweep covers, in report order: the `auto` portfolio
@@ -258,6 +259,44 @@ pub fn run(cfg: &RobustnessConfig, parallelism: Parallelism) -> RobustnessResult
     }
     let gate = evaluate_gate(&report);
     RobustnessResult { report, curve, gate }
+}
+
+/// The `experiments robustness-bench` stage: runs the sweep, emits the
+/// report and curve CSVs, and returns the unity gate's verdict.
+pub fn stage(driver: &mut Driver, args: &BenchArgs) -> bool {
+    let cfg = RobustnessConfig { seed: args.seed, instances: args.instances, ..Default::default() };
+    let result = run(&cfg, Parallelism::auto());
+    driver.emit_table(
+        "robustness_report",
+        "Robustness: plan-cost degradation under cardinality misestimation",
+        render_report(&result.report),
+    );
+    driver.emit_table(
+        "robustness_curve",
+        "Robustness: per-instance degradation curve",
+        render_curve(&result.curve),
+    );
+    qjo_obs::info!(
+        "robust: {} cells, worst q-error {:.2}",
+        result.report.len(),
+        qjo_obs::gauge("robust.qerror").get()
+    );
+    let gate = &result.gate;
+    qjo_obs::info!(
+        "unity gate: {} q-error-1 cells checked, {} violations",
+        gate.checked,
+        gate.violations.len()
+    );
+    if !gate.pass {
+        for v in &gate.violations {
+            qjo_obs::error!("unity violation: {v}");
+        }
+        qjo_obs::error!(
+            "robustness unity gate failed: every backend must degrade by exactly 1.0 \
+             when the estimates equal the truth"
+        );
+    }
+    gate.pass
 }
 
 /// Checks that every q-error-1 cell degrades by exactly 1.0.

@@ -26,6 +26,7 @@ use qjo_exec::{stream_seed, Parallelism};
 use qjo_sched::smoke_service;
 use qjo_serve::{Request, ServeEvent};
 
+use crate::driver::{BenchArgs, Driver};
 use crate::report::Table;
 
 /// Backends the matched replay covers, in report order. `auto` first;
@@ -220,6 +221,49 @@ pub fn run(cfg: &SchedBenchConfig, parallelism: Parallelism) -> SchedBenchResult
     }
     let gate = evaluate_gate(&report);
     SchedBenchResult { report, events, gate }
+}
+
+/// The `experiments sched-bench` stage: runs the matched replay, emits the
+/// report and event logs, and returns the headline SLO gate's verdict.
+pub fn stage(driver: &mut Driver, args: &BenchArgs) -> bool {
+    let result = run(&SchedBenchConfig { seed: args.seed }, Parallelism::auto());
+    driver.emit_table(
+        "sched_report",
+        "Scheduling: racing portfolio vs static backends on the matched mix",
+        render_report(&result.report),
+    );
+    // As in serve-bench: the full event log carries wall-clock latencies
+    // (volatile); the canonical projection is a pure function of the
+    // request stream and drift-gates byte-for-byte.
+    let rows = result.events.len() as u64;
+    driver.emit("sched_events.jsonl", &qjo_serve::events::render_log(&result.events), rows, true);
+    driver.emit(
+        "sched_events.canonical.jsonl",
+        &qjo_serve::events::render_canonical(&result.events),
+        rows,
+        false,
+    );
+    qjo_obs::info!(
+        "sched: {} backends x {} requests",
+        result.report.len(),
+        result.report.first().map_or(0, |r| r.requests)
+    );
+    let gate = &result.gate;
+    qjo_obs::info!(
+        "SLO gate: auto met {} vs best static {} ({}); geomean cost {:.3e} vs greedy {:.3e}",
+        gate.auto_met,
+        gate.best_static.1,
+        gate.best_static.0,
+        gate.auto_geomean_cost,
+        gate.greedy_geomean_cost
+    );
+    if !gate.pass {
+        qjo_obs::error!(
+            "sched SLO gate failed: auto must meet strictly more deadlines than the best \
+             static backend and beat greedy on geometric-mean plan cost"
+        );
+    }
+    gate.pass
 }
 
 /// Evaluates the headline gate over the report rows.

@@ -31,7 +31,19 @@ use qjo_serve::service::{AdmissionMode, Service};
 use qjo_serve::telemetry::DEFAULT_MIN_SAMPLES;
 use qjo_serve::ServeEvent;
 
+use crate::driver::{BenchArgs, Driver};
 use crate::report::Table;
+
+/// `--embed-latency-gate` bound on the annealer's cold-embed p50, in ms.
+/// Absolute bounds replace the former cold/warm p50 ratio floor, which
+/// rewarded a slow cold path. Both bounds are the serving baseline's p50s
+/// (880.8 and 9.9 ms) from before the embedder's shortest-path kernel got
+/// faster, rounded to whole milliseconds.
+pub const MAX_COLD_EMBED_P50_MS: f64 = 880.0;
+
+/// `--embed-latency-gate` bound on the p50 of annealer requests served a
+/// cached embedding, in ms.
+pub const MAX_WARM_EMBED_P50_MS: f64 = 10.0;
 
 /// Knobs for one serving benchmark run.
 #[derive(Debug, Clone)]
@@ -95,6 +107,80 @@ pub fn run(cfg: &ServeBenchConfig, parallelism: Parallelism) -> ServeBenchResult
         events,
         stats: service.stats_snapshot(),
     }
+}
+
+/// The `experiments serve-bench` stage: runs the benchmark, emits the
+/// report and latency CSVs, the event logs and the stats snapshot, and
+/// returns the verdict of `--embed-latency-gate` (`true` without it).
+pub fn stage(driver: &mut Driver, args: &BenchArgs) -> bool {
+    let cfg = ServeBenchConfig { seed: args.seed, calibrated: args.calibrated };
+    if cfg.calibrated {
+        qjo_obs::info!(
+            "calibrated admission: deadlines steer on observed latencies; \
+             this run is not drift-gateable"
+        );
+    }
+    let result = run(&cfg, Parallelism::auto());
+    driver.emit_table(
+        "serve_report",
+        "Serving: deterministic per-backend report",
+        render_report(&result.report),
+    );
+    driver.emit_table(
+        "serve_latency",
+        "Serving: wall-clock latency percentiles (volatile)",
+        render_latency(&result.latency),
+    );
+    // The per-request telemetry: the full event log carries wall-clock
+    // latencies (volatile, gated on record count); its canonical
+    // projection and the final stats snapshot's counters are pure
+    // functions of the request stream — unless admission is calibrated,
+    // in which case the admission decisions themselves depend on
+    // observed latencies and neither can gate.
+    let rows = result.events.len() as u64;
+    driver.emit("serve_events.jsonl", &qjo_serve::events::render_log(&result.events), rows, true);
+    driver.emit(
+        "serve_events.canonical.jsonl",
+        &qjo_serve::events::render_canonical(&result.events),
+        rows,
+        cfg.calibrated,
+    );
+    driver.emit("serve_stats.json", &format!("{}\n", result.stats.render()), 1, true);
+    qjo_obs::info!("serve: {} requests", result.requests);
+    match result.embed_speedup {
+        Some(speedup) => {
+            qjo_obs::info!("embedding cache speedup: cold p50 / warm p50 = {speedup:.1}×")
+        }
+        None => qjo_obs::info!("embedding cache speedup: not observed (no cold/warm pair)"),
+    }
+    !args.embed_latency_gate || embed_latency_within_bounds(&result.latency)
+}
+
+/// The embed-latency gate: the annealer's cold-embed and cached-embedding
+/// requests must both occur and keep their p50s within
+/// [`MAX_COLD_EMBED_P50_MS`] and [`MAX_WARM_EMBED_P50_MS`].
+fn embed_latency_within_bounds(latency: &[LatencyRow]) -> bool {
+    let mut pass = true;
+    for (key, bound) in
+        [("annealer:cold", MAX_COLD_EMBED_P50_MS), ("annealer:warm", MAX_WARM_EMBED_P50_MS)]
+    {
+        match latency.iter().find(|r| r.key == key).map(|r| r.p50_us as f64 / 1e3) {
+            Some(p50) if p50 <= bound => {
+                qjo_obs::info!("{key} p50 {p50:.1} ms is within the {bound} ms bound")
+            }
+            Some(p50) => {
+                qjo_obs::error!("{key} p50 {p50:.1} ms exceeds the {bound} ms bound");
+                pass = false;
+            }
+            None => {
+                qjo_obs::error!(
+                    "{key} p50 bound ({bound} ms) requires {key} requests, but the mix produced none"
+                );
+                pass = false;
+            }
+        }
+    }
+    pass
 }
 
 /// Renders the deterministic report table.
@@ -190,5 +276,22 @@ mod tests {
         let cold = csv.find("annealer:cold").expect("cold row");
         let warm = csv.find("annealer:warm").expect("warm row");
         assert!(cold < warm);
+    }
+
+    #[test]
+    fn embed_latency_gate_needs_both_classes_within_bounds() {
+        let row = |key: &str, p50_ms: f64| LatencyRow {
+            key: key.into(),
+            count: 1,
+            p50_us: (p50_ms * 1e3) as u64,
+            p99_us: 0,
+            max_us: 0,
+        };
+        let cold = row("annealer:cold", MAX_COLD_EMBED_P50_MS);
+        let warm = row("annealer:warm", MAX_WARM_EMBED_P50_MS);
+        let slow_warm = row("annealer:warm", MAX_WARM_EMBED_P50_MS + 1.0);
+        assert!(embed_latency_within_bounds(&[cold.clone(), warm]));
+        assert!(!embed_latency_within_bounds(std::slice::from_ref(&cold)));
+        assert!(!embed_latency_within_bounds(&[cold, slow_warm]));
     }
 }

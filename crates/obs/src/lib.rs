@@ -199,6 +199,7 @@ impl Gauge {
 pub struct Histogram {
     count: AtomicU64,
     sum_ns: AtomicU64,
+    max_ns: AtomicU64,
     mode: BucketMode,
     buckets: Vec<AtomicU64>,
 }
@@ -215,6 +216,7 @@ impl Histogram {
         Histogram {
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
             mode,
             buckets: (0..mode.bucket_count()).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -237,6 +239,11 @@ impl Histogram {
     pub fn record_ns(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        // A plain load first: most observations are not a new maximum, so
+        // the read-modify-write runs only when it can change the value.
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
         self.buckets[self.mode.bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -244,6 +251,7 @@ impl Histogram {
         HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns.load(Ordering::Relaxed),
             mode: self.mode,
             buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
         }
@@ -263,6 +271,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Total nanoseconds across all observations.
     pub sum_ns: u64,
+    /// Largest single observation, in nanoseconds (0 when empty).
+    pub max_ns: u64,
     /// How [`buckets`](Self::buckets) are bounded.
     pub mode: BucketMode,
     /// Per-bucket observation counts ([`BucketMode::bucket_count`] long).
@@ -280,9 +290,11 @@ impl HistogramSnapshot {
     }
 
     /// The `q`-quantile (`0 < q <= 1`) in nanoseconds, resolved to the
-    /// **upper bound** of the bucket holding that observation — an
-    /// over-estimate by at most the mode's resolution (2× for log2, ~1.78×
-    /// for quarter-decade). Returns 0 when the histogram is empty.
+    /// **upper bound** of the bucket holding that observation and clamped
+    /// to [`max_ns`](Self::max_ns) — an over-estimate by at most the
+    /// mode's resolution (2× for log2, ~1.78× for quarter-decade) that
+    /// never exceeds the largest observation. Returns 0 when the
+    /// histogram is empty.
     pub fn percentile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -292,10 +304,10 @@ impl HistogramSnapshot {
         for (bucket, &observations) in self.buckets.iter().enumerate() {
             cumulative += observations;
             if cumulative >= target {
-                return self.mode.bucket_upper_bound_ns(bucket);
+                return self.mode.bucket_upper_bound_ns(bucket).min(self.max_ns);
             }
         }
-        u64::MAX
+        self.max_ns
     }
 
     /// [`Self::percentile_ns`] in milliseconds.
@@ -602,10 +614,52 @@ mod tests {
         // Rank 2 and 3 land in bucket 2 (upper bound 3).
         assert_eq!(snap.percentile_ns(0.5), 3);
         assert_eq!(snap.percentile_ns(0.75), 3);
-        // Ranks beyond land in bucket 3 (upper bound 7).
-        assert_eq!(snap.percentile_ns(0.9), 7);
-        assert_eq!(snap.percentile_ns(1.0), 7);
-        assert_eq!(snap.percentile_ms(1.0), 7.0 / 1e6);
+        // Ranks beyond land in bucket 3, whose upper bound 7 exceeds
+        // every observation: they clamp to the observed max 4.
+        assert_eq!(snap.max_ns, 4);
+        assert_eq!(snap.percentile_ns(0.9), 4);
+        assert_eq!(snap.percentile_ns(1.0), 4);
+        assert_eq!(snap.percentile_ms(1.0), 4.0 / 1e6);
+    }
+
+    #[test]
+    fn no_percentile_exceeds_the_observed_max() {
+        // Seeded SplitMix64: durations spread over every magnitude, so
+        // both bucket modes see ranks land in partly filled top buckets.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let quantiles = [1e-9, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0];
+        for mode in [BucketMode::Log2, BucketMode::QuarterDecade] {
+            for _ in 0..200 {
+                let h = Histogram::with_mode(mode);
+                let mut observed: Vec<u64> =
+                    (0..1 + next() % 50).map(|_| next() >> (next() % 64)).collect();
+                for &ns in &observed {
+                    h.record_ns(ns);
+                }
+                observed.sort_unstable();
+                let snap = h.snapshot();
+                let max = *observed.last().unwrap();
+                assert_eq!(snap.max_ns, max);
+                let mut previous = 0;
+                for q in quantiles {
+                    let p = snap.percentile_ns(q);
+                    assert!(p <= max, "{mode:?} q={q}: {p} > max {max}");
+                    // Still an upper estimate of the exact rank statistic.
+                    let rank = ((q * observed.len() as f64).ceil() as usize).max(1);
+                    assert!(p >= observed[rank - 1], "{mode:?} q={q}: {p} below the exact value");
+                    assert!(p >= previous, "{mode:?}: percentiles must be monotone in q");
+                    previous = p;
+                }
+                assert_eq!(snap.percentile_ns(1.0), max);
+            }
+        }
     }
 
     #[test]
@@ -632,13 +686,17 @@ mod tests {
         }
         // Resolution: each decade is cut four ways, so a quarter-decade
         // percentile over-estimates by < 1.8x where log2 allows 2x.
+        // A second, larger observation keeps the percentile clamp
+        // (percentiles never exceed the max) out of the way.
         let h = Histogram::with_mode(BucketMode::QuarterDecade);
         h.record_ns(450_000); // 0.45 ms → bucket with upper bound 562_341
+        h.record_ns(10_000_000);
         let snap = h.snapshot();
         assert_eq!(snap.mode, BucketMode::QuarterDecade);
         assert_eq!(snap.percentile_ns(0.5), 562_341);
         let log2 = Histogram::new();
         log2.record_ns(450_000); // log2 resolves to 2^19 - 1 = 524_287
+        log2.record_ns(10_000_000);
         assert_eq!(log2.snapshot().percentile_ns(0.5), (1 << 19) - 1);
     }
 

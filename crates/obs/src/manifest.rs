@@ -58,7 +58,8 @@ pub struct StageRecord {
 /// Percentiles come from the log2-bucketed histogram, resolved to bucket
 /// upper bounds (see
 /// [`HistogramSnapshot::percentile_ns`](crate::HistogramSnapshot::percentile_ns)),
-/// so they over-estimate by at most 2×.
+/// so they over-estimate by at most 2× and never exceed the largest
+/// observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanSummary {
     /// Observations recorded under this span path.
@@ -885,10 +886,10 @@ mod tests {
         assert_eq!(manifest.gauges["g"], 2.5);
         assert_eq!(manifest.spans["h"].count, 1);
         assert_eq!(manifest.spans["h"].total_ms, 2.0);
-        // 2 ms lands in bucket 21 ([2^20, 2^21) ns): upper bound 2^21 - 1.
-        let expected = ((1u64 << 21) - 1) as f64 / 1e6;
-        assert_eq!(manifest.spans["h"].p50_ms, expected);
-        assert_eq!(manifest.spans["h"].p99_ms, expected);
+        // 2 ms lands in bucket 21 ([2^20, 2^21) ns), whose upper bound
+        // 2^21 - 1 exceeds the only observation: percentiles clamp to it.
+        assert_eq!(manifest.spans["h"].p50_ms, 2.0);
+        assert_eq!(manifest.spans["h"].p99_ms, 2.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qjo_anneal::AnnealerSampler;
-use qjo_core::{JoEncoder, Query};
+use qjo_core::JoEncoder;
 use qjo_exec::Parallelism;
 use qjo_obs::json::Json;
 use qjo_obs::BucketMode;
@@ -561,11 +561,6 @@ impl Service {
     }
 }
 
-/// Convenience: the query a request carries (used by tests and loadgen).
-pub fn request_query(req: &Request) -> &Query {
-    &req.query
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,13 +596,14 @@ mod tests {
     fn impossible_deadline_forces_the_greedy_fallback() {
         let svc = Service::smoke(7, Parallelism::sequential());
         // 0 ms deadline: every non-trivial backend's estimate exceeds it.
-        let before = qjo_obs::global().snapshot();
         let r = svc.handle(&req("x", "sa", Some(0), 5));
         assert!(r.deadline_miss);
         assert!(r.fallback);
         assert_eq!(r.error, None);
         assert_eq!(r.order.len(), 4);
-        let d = qjo_obs::global().snapshot().counter_deltas_since(&before);
+        // The service's own tallies: sibling tests bump the process-global
+        // counters concurrently, so a global delta would be racy.
+        let d = svc.telemetry().counters();
         assert_eq!(d.get("serve.deadline.miss"), Some(&1));
         assert_eq!(d.get("serve.fallback"), Some(&1));
     }
@@ -870,15 +866,15 @@ mod tests {
                 query: q.clone(),
             })
             .collect();
-        let before = qjo_obs::global().snapshot();
         let out = svc.handle_batch(&reqs);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].id, "b0");
         assert_eq!(out[2].id, "b2");
-        let d = qjo_obs::global().snapshot().counter_deltas_since(&before);
-        assert_eq!(d.get("serve.batch.groups"), Some(&1));
+        // The service's own tallies, immune to sibling tests.
+        assert_eq!(svc.telemetry().counters().get("serve.batch.groups"), Some(&1));
         // One formulation build, two cache hits.
-        assert_eq!(d.get("serve.cache.miss"), Some(&1));
-        assert_eq!(d.get("serve.cache.hit"), Some(&2));
+        let cache = svc.cache().stats();
+        assert_eq!(cache.misses, 1);
+        assert_eq!(cache.hits, 2);
     }
 }
