@@ -92,18 +92,16 @@ pub fn run(cfg: &ServeBenchConfig, parallelism: Parallelism) -> ServeBenchResult
     }
     let closed_mix = LoadMix::smoke(cfg.seed);
     let closed = loadgen::generate_requests(&closed_mix);
-    let (mut outcomes, mut events) = loadgen::run_with_events(&service, &closed, closed_mix.mode);
+    let mut events = loadgen::run_with_events(&service, &closed, closed_mix.mode);
     let open_mix = LoadMix::smoke_open(stream_seed(cfg.seed, 1));
     let open = loadgen::generate_requests(&open_mix);
-    let (open_outcomes, open_events) = loadgen::run_with_events(&service, &open, open_mix.mode);
-    outcomes.extend(open_outcomes);
-    events.extend(open_events);
-    let latency = loadgen::aggregate_latency(&outcomes);
+    events.extend(loadgen::run_with_events(&service, &open, open_mix.mode));
+    let latency = loadgen::aggregate_latency(&events);
     ServeBenchResult {
-        report: loadgen::aggregate_report(&outcomes),
+        report: loadgen::aggregate_report(&events),
         embed_speedup: loadgen::embed_speedup(&latency, "annealer"),
         latency,
-        requests: outcomes.len() as u64,
+        requests: events.len() as u64,
         events,
         stats: service.stats_snapshot(),
     }

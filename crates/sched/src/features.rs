@@ -5,10 +5,8 @@
 //! replaying the same request stream extract identical features and make
 //! identical scheduling decisions at any thread count.
 
-use std::sync::Arc;
-
 use qjo_core::{qubit_upper_bound, Query};
-use qjo_serve::FormulationCache;
+use qjo_serve::{CanonicalQuery, FormulationCache};
 
 /// The feature vector the portfolio predicts backend costs from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,10 +29,11 @@ pub struct InstanceFeatures {
 }
 
 impl InstanceFeatures {
-    /// Extracts the features for `query` against `cache` without
-    /// perturbing the cache (residency comes from a peek, not a lookup).
-    pub fn extract(cache: &Arc<FormulationCache>, query: &Query) -> Self {
-        let (_, resident) = cache.peek(query);
+    /// Extracts the features for `query`, whose canonical form is
+    /// `canon`, against `cache` without perturbing the cache (residency
+    /// comes from a peek, not a lookup).
+    pub fn extract(cache: &FormulationCache, query: &Query, canon: &CanonicalQuery) -> Self {
+        let resident = cache.peek_canonical(canon);
         InstanceFeatures {
             relations: query.num_relations(),
             joins: query.num_joins(),
@@ -53,10 +52,10 @@ mod tests {
 
     #[test]
     fn features_are_a_pure_peek_and_bound_the_real_formulation() {
-        let cache =
-            Arc::new(FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 4));
+        let cache = FormulationCache::new(JoEncoder::default(), FingerprintConfig::default(), 4);
         let q = QueryGenerator::paper_defaults(QueryGraph::Chain, 4).generate(3);
-        let f = InstanceFeatures::extract(&cache, &q);
+        let canon = cache.canonicalize(&q);
+        let f = InstanceFeatures::extract(&cache, &q, &canon);
         assert_eq!(f.relations, 4);
         assert!(f.joins >= 3, "a 4-relation chain has at least 3 joins");
         assert!(!f.formulation_resident && !f.embedding_resident);
@@ -66,7 +65,7 @@ mod tests {
         let (_, entry, _) = cache.lookup(&q);
         assert!(f.qubo_vars >= entry.formulation.qubo.num_vars() as u64);
         // Residency flips after the lookup; the bound does not.
-        let warm = InstanceFeatures::extract(&cache, &q);
+        let warm = InstanceFeatures::extract(&cache, &q, &canon);
         assert!(warm.formulation_resident && !warm.embedding_resident);
         assert_eq!(warm.qubo_vars, f.qubo_vars);
     }

@@ -26,8 +26,8 @@ use qjo_obs::online::WorkModelSnapshot;
 use qjo_qubo::ising::spins_to_bits;
 use qjo_qubo::solve::{SimulatedAnnealing, TabuSearch};
 use qjo_serve::{
-    BackendInfo, CacheEntry, CacheStatus, FormulationCache, JoinOrderOptimizer, Plan, PreCheck,
-    RaceOutcome, ServeError,
+    BackendInfo, CacheEntry, CacheStatus, CanonicalQuery, FormulationCache, JoinOrderOptimizer,
+    Plan, PreCheck, RaceOutcome,
 };
 
 use crate::features::InstanceFeatures;
@@ -250,6 +250,17 @@ impl PortfolioBackend {
     /// Runs the full race for `query` under `budget_us` model-µs
     /// (`None` → [`Self::default_budget_us`]).
     pub fn race(&self, query: &Query, budget_us: Option<u64>) -> (Plan, RaceReport) {
+        self.race_canonical(query, &self.cache.canonicalize(query), budget_us)
+    }
+
+    /// [`race`](Self::race) for a request already canonicalised (`canon`
+    /// keys the feature peek and the formulation lookup).
+    pub fn race_canonical(
+        &self,
+        query: &Query,
+        canon: &CanonicalQuery,
+        budget_us: Option<u64>,
+    ) -> (Plan, RaceReport) {
         let t = query.num_relations();
         let budget = budget_us.unwrap_or(self.default_budget_us);
 
@@ -267,7 +278,7 @@ impl PortfolioBackend {
         // racer that cannot afford one chunk is skipped. Chunk costs use
         // the *bound* on variables so the decision (and whether we pay
         // for a formulation at all) never depends on cache contents.
-        let features = InstanceFeatures::extract(&self.cache, query);
+        let features = InstanceFeatures::extract(&self.cache, query, canon);
         let share = budget / Racer::ALL.len() as u64;
         let budgets: Vec<usize> = Racer::ALL
             .iter()
@@ -300,7 +311,7 @@ impl PortfolioBackend {
 
         let mut cache_status = None;
         if budgets.iter().any(|&c| c > 0) {
-            let (canon, entry, status) = self.cache.lookup(query);
+            let (entry, status) = self.cache.lookup_canonical(canon);
             cache_status = Some(status);
             let jobs: Vec<(usize, Racer, usize)> = Racer::ALL
                 .iter()
@@ -459,20 +470,17 @@ struct RacerRun {
 }
 
 impl JoinOrderOptimizer for PortfolioBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        self.optimize_under_budget(query, None)
-    }
-
-    fn optimize_under_budget(
+    fn optimize_join_order(
         &self,
         query: &Query,
+        canon: &CanonicalQuery,
         budget_us: Option<u64>,
-    ) -> Result<Plan, ServeError> {
-        let (plan, report) = self.race(query, budget_us);
+    ) -> Plan {
+        let (plan, report) = self.race_canonical(query, canon, budget_us);
         for (name, n) in report_counters(&report) {
             qjo_obs::counter(&name).add(n);
         }
-        Ok(plan)
+        plan
     }
 
     fn describe(&self) -> BackendInfo {

@@ -2,15 +2,17 @@
 //!
 //! Classical backends (`dp`, `greedy`) plan directly on the requester's
 //! query. Formulating backends (`sa`, `tabu`, `sqa`, `annealer`, `qaoa`)
-//! share one [`FormulationCache`]: a request is canonicalised, its
-//! formulation fetched or built, solved in canonical labels, decoded, and
-//! the order mapped back to the requester's labelling — so every member
-//! of a fingerprint class reuses the same QUBO (and, for the annealer,
-//! the same minor-embedding).
+//! share one [`FormulationCache`]: the request's canonical form (computed
+//! once by the service and passed in) keys the cache, the formulation is
+//! fetched or built, solved in canonical labels, decoded, and the order
+//! mapped back to the requester's labelling — so every member of a
+//! fingerprint class reuses the same QUBO (and, for the annealer, the
+//! same minor-embedding).
 //!
 //! A decode failure is retried with a reseeded solve under the
 //! `resil.serve.solve.*` taxonomy; when the budget is exhausted the
-//! backend degrades to the greedy plan (`serve.solve.fallback`) rather
+//! backend degrades to the greedy plan and marks it
+//! [`Plan::fallback`] (the service counts `serve.solve.fallback`) rather
 //! than erroring — the serving contract is "always an executable order".
 
 use std::sync::Arc;
@@ -26,8 +28,9 @@ use qjo_qubo::solve::{SimulatedAnnealing, TabuSearch};
 use qjo_qubo::SampleSet;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::cache::{CacheEntry, FormulationCache};
-use crate::optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, ServeError};
+use crate::cache::{CacheEntry, CacheStatus, FormulationCache};
+use crate::fingerprint::CanonicalQuery;
+use crate::optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck};
 
 /// Reseeded solve attempts before degrading to the greedy fallback.
 const SOLVE_ATTEMPTS: usize = 3;
@@ -50,10 +53,11 @@ fn qubit_estimate(query: &Query) -> u64 {
 fn plan_via_cache(
     cache: &FormulationCache,
     query: &Query,
+    canon: &CanonicalQuery,
     mut solve: impl FnMut(usize, &CacheEntry) -> Option<Vec<bool>>,
 ) -> Plan {
     let t = query.num_relations();
-    let (canon, entry, status) = cache.lookup(query);
+    let (entry, status) = cache.lookup_canonical(canon);
     let decoded = qjo_resil::with_retries("serve.solve", SOLVE_ATTEMPTS, |attempt| {
         let bits = solve(attempt, &entry).ok_or("solver produced no assignment")?;
         decode_assignment(&bits, &entry.formulation.registry, &entry.canonical_query)
@@ -66,19 +70,14 @@ fn plan_via_cache(
             let cost = jo.cost(query);
             Plan { order, cost, cache: Some(status), embed: None, fallback: false, race: None }
         }
-        Err(_) => {
-            qjo_obs::counter!("serve.solve.fallback").incr();
-            let (jo, cost) = greedy_min_cost(query);
-            Plan {
-                order: jo.order,
-                cost,
-                cache: Some(status),
-                embed: None,
-                fallback: true,
-                race: None,
-            }
-        }
+        Err(_) => greedy_fallback(query, Some(status)),
     }
+}
+
+/// The greedy plan a backend degrades to, marked as a fallback.
+fn greedy_fallback(query: &Query, cache: Option<CacheStatus>) -> Plan {
+    let (jo, cost) = greedy_min_cost(query);
+    Plan { order: jo.order, cost, cache, embed: None, fallback: true, race: None }
 }
 
 /// Exact dynamic programming over connected subsets.
@@ -95,16 +94,14 @@ impl Default for DpBackend {
 }
 
 impl JoinOrderOptimizer for DpBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        let check = self.pre_check(query);
-        if !check.admissible {
-            return Err(ServeError::Unsupported {
-                backend: "dp",
-                reason: check.reason.unwrap_or_default(),
-            });
+    fn optimize_join_order(&self, query: &Query, _: &CanonicalQuery, _: Option<u64>) -> Plan {
+        // The service never calls this on a query `pre_check` rejects;
+        // a direct caller still gets an executable order.
+        if !self.pre_check(query).admissible {
+            return greedy_fallback(query, None);
         }
         let (jo, cost) = dp_optimal(query);
-        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false, race: None })
+        Plan { order: jo.order, cost, cache: None, embed: None, fallback: false, race: None }
     }
 
     fn describe(&self) -> BackendInfo {
@@ -130,9 +127,9 @@ impl JoinOrderOptimizer for DpBackend {
 pub struct GreedyBackend;
 
 impl JoinOrderOptimizer for GreedyBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+    fn optimize_join_order(&self, query: &Query, _: &CanonicalQuery, _: Option<u64>) -> Plan {
         let (jo, cost) = greedy_min_cost(query);
-        Ok(Plan { order: jo.order, cost, cache: None, embed: None, fallback: false, race: None })
+        Plan { order: jo.order, cost, cache: None, embed: None, fallback: false, race: None }
     }
 
     fn describe(&self) -> BackendInfo {
@@ -154,12 +151,12 @@ pub struct SaBackend {
 }
 
 impl JoinOrderOptimizer for SaBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query, canon: &CanonicalQuery, _: Option<u64>) -> Plan {
+        plan_via_cache(&self.cache, query, canon, |attempt, entry| {
             let mut solver = self.solver.clone();
             solver.seed = stream_seed(self.solver.seed, attempt as u64);
             solver.solve(&entry.formulation.qubo).ok().map(|s| s.assignment)
-        }))
+        })
     }
 
     fn describe(&self) -> BackendInfo {
@@ -182,12 +179,12 @@ pub struct TabuBackend {
 }
 
 impl JoinOrderOptimizer for TabuBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query, canon: &CanonicalQuery, _: Option<u64>) -> Plan {
+        plan_via_cache(&self.cache, query, canon, |attempt, entry| {
             let mut solver = self.solver.clone();
             solver.seed = stream_seed(self.solver.seed, attempt as u64);
             solver.solve(&entry.formulation.qubo).ok().map(|s| s.assignment)
-        }))
+        })
     }
 
     fn describe(&self) -> BackendInfo {
@@ -216,8 +213,8 @@ pub struct SqaBackend {
 }
 
 impl JoinOrderOptimizer for SqaBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+    fn optimize_join_order(&self, query: &Query, canon: &CanonicalQuery, _: Option<u64>) -> Plan {
+        plan_via_cache(&self.cache, query, canon, |attempt, entry| {
             let qubo = &entry.formulation.qubo;
             let ising = qubo.to_ising();
             let mut config = self.config;
@@ -229,7 +226,7 @@ impl JoinOrderOptimizer for SqaBackend {
                 .iter()
                 .map(|spins| spins_to_bits(spins))
                 .min_by(|a, b| energy(a).partial_cmp(&energy(b)).expect("finite energies"))
-        }))
+        })
     }
 
     fn describe(&self) -> BackendInfo {
@@ -256,13 +253,13 @@ pub struct AnnealerBackend {
 }
 
 impl JoinOrderOptimizer for AnnealerBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
+    fn optimize_join_order(&self, query: &Query, canon: &CanonicalQuery, _: Option<u64>) -> Plan {
         // The *first* attempt's embedding outcome is what the request
         // actually paid for (a retry always hits the embedding cached by
         // the attempt before it), so it is the status telemetry should
         // bill this request under.
         let embed_status = std::cell::Cell::new(None::<&'static str>);
-        let mut plan = plan_via_cache(&self.cache, query, |attempt, entry| {
+        let mut plan = plan_via_cache(&self.cache, query, canon, |attempt, entry| {
             let mut sampler = self.sampler.clone();
             sampler.sqa.seed = stream_seed(self.sampler.sqa.seed, attempt as u64);
             let (embedding, status) =
@@ -274,7 +271,7 @@ impl JoinOrderOptimizer for AnnealerBackend {
             outcome.samples.best().map(|s| s.assignment.clone())
         });
         plan.embed = embed_status.get();
-        Ok(plan)
+        plan
     }
 
     fn describe(&self) -> BackendInfo {
@@ -322,15 +319,13 @@ pub struct QaoaBackend {
 }
 
 impl JoinOrderOptimizer for QaoaBackend {
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError> {
-        let check = self.pre_check(query);
-        if !check.admissible {
-            return Err(ServeError::Unsupported {
-                backend: "qaoa",
-                reason: check.reason.unwrap_or_default(),
-            });
+    fn optimize_join_order(&self, query: &Query, canon: &CanonicalQuery, _: Option<u64>) -> Plan {
+        // The service never calls this on a query `pre_check` rejects;
+        // a direct caller still gets an executable order.
+        if !self.pre_check(query).admissible {
+            return greedy_fallback(query, None);
         }
-        Ok(plan_via_cache(&self.cache, query, |attempt, entry| {
+        plan_via_cache(&self.cache, query, canon, |attempt, entry| {
             let qubo = &entry.formulation.qubo;
             if qubo.num_vars() > self.max_qubits {
                 return None;
@@ -347,7 +342,7 @@ impl JoinOrderOptimizer for QaoaBackend {
                 qubo.energy(bits).expect("shot rows match the formulation width")
             });
             set.best().map(|s| s.assignment.clone())
-        }))
+        })
     }
 
     fn describe(&self) -> BackendInfo {

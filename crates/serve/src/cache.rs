@@ -11,6 +11,9 @@
 //! Eviction is LRU with a fixed capacity. Every lookup lands in the
 //! `serve.cache.{hit,miss,evict}` counters, which flow into the run
 //! manifest like any other metric.
+//!
+//! The serving path passes its one canonicalisation to the
+//! canonical-keyed cores; `lookup` and `peek` canonicalise first.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,6 +193,14 @@ impl FormulationCache {
     /// the canonicalisation, the shared entry, and the hit/miss status.
     pub fn lookup(&self, query: &Query) -> (CanonicalQuery, Arc<CacheEntry>, CacheStatus) {
         let canon = self.canonicalize(query);
+        let (entry, status) = self.lookup_canonical(&canon);
+        (canon, entry, status)
+    }
+
+    /// [`lookup`](Self::lookup) for a request already canonicalised by
+    /// [`canonicalize`](Self::canonicalize): the serving path's core,
+    /// which never canonicalises a second time.
+    pub fn lookup_canonical(&self, canon: &CanonicalQuery) -> (Arc<CacheEntry>, CacheStatus) {
         let mut state = self.state.lock().expect("cache lock");
         state.clock += 1;
         let now = state.clock;
@@ -197,8 +208,7 @@ impl FormulationCache {
             *stamp = now;
             qjo_obs::counter!("serve.cache.hit").incr();
             self.tallies.hits.fetch_add(1, Ordering::Relaxed);
-            let entry = entry.clone();
-            return (canon, entry, CacheStatus::Hit);
+            return (entry.clone(), CacheStatus::Hit);
         }
         qjo_obs::counter!("serve.cache.miss").incr();
         self.tallies.misses.fetch_add(1, Ordering::Relaxed);
@@ -227,7 +237,7 @@ impl FormulationCache {
             self.tallies.evictions.fetch_add(1, Ordering::Relaxed);
         }
         state.entries.insert(canon.fingerprint.clone(), (entry.clone(), now));
-        (canon, entry, CacheStatus::Miss)
+        (entry, CacheStatus::Miss)
     }
 
     /// Checks residency without inserting, counting, or refreshing LRU
@@ -236,9 +246,14 @@ impl FormulationCache {
     /// without perturbing cache behaviour.
     pub fn peek(&self, query: &Query) -> (CanonicalQuery, Option<Arc<CacheEntry>>) {
         let canon = self.canonicalize(query);
-        let state = self.state.lock().expect("cache lock");
-        let entry = state.entries.get(&canon.fingerprint).map(|(e, _)| e.clone());
+        let entry = self.peek_canonical(&canon);
         (canon, entry)
+    }
+
+    /// [`peek`](Self::peek) for a request already canonicalised.
+    pub fn peek_canonical(&self, canon: &CanonicalQuery) -> Option<Arc<CacheEntry>> {
+        let state = self.state.lock().expect("cache lock");
+        state.entries.get(&canon.fingerprint).map(|(e, _)| e.clone())
     }
 
     /// Number of resident classes.

@@ -15,6 +15,13 @@
 //! differ only by relation labels or sub-bucket cardinality noise share
 //! one formulation and one embedding.
 //!
+//! Each request is canonicalised once: [`Service`] computes the
+//! [`CanonicalQuery`] as soon as the backend name resolves and passes it
+//! to admission, to the backend's single
+//! [`JoinOrderOptimizer::optimize_join_order`] entry point (and through
+//! it to the cache), and to the event. Only the annealer's `pre_check`
+//! canonicalises again, to peek at embedding residency.
+//!
 //! Determinism contract: admission, fallback, cache, and report contents
 //! are pure functions of the request stream (wall-clock is observed but
 //! never steers control flow), so serving reports are byte-identical at
@@ -47,7 +54,7 @@ pub use backends::{
 pub use cache::{CacheCounters, CacheEntry, CacheStatus, FormulationCache};
 pub use events::{parse_event, validate_events, ServeEvent};
 pub use fingerprint::{canonicalize, CanonicalQuery, FingerprintConfig};
-pub use optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, RaceOutcome, ServeError};
+pub use optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck, RaceOutcome};
 pub use request::{parse_request, render_response, Request, Response};
 pub use service::{AdmissionMode, Service};
 pub use telemetry::Telemetry;

@@ -1,5 +1,6 @@
 //! The seeded load generator: a deterministic request mix and the
-//! aggregation that turns its outcomes into the serving report.
+//! aggregation that turns the service's per-request [`ServeEvent`]s into
+//! the serving report.
 //!
 //! Everything about the mix — query classes, relabellings, sub-bucket
 //! cardinality jitter, backend choice, deadlines, arrival batching — is
@@ -136,94 +137,18 @@ pub fn generate_requests(mix: &LoadMix) -> Vec<Request> {
         .collect()
 }
 
-/// One served request, with its deterministic outcome fields and its
-/// (volatile) wall-clock latency.
-#[derive(Debug, Clone)]
-pub struct RequestOutcome {
-    /// Requested backend.
-    pub backend: String,
-    /// Formulation-cache outcome (`"hit"` / `"miss"`), when it applies.
-    pub cache: Option<&'static str>,
-    /// Embedding-cache outcome, attributed per request from the
-    /// service's event log (in both arrival modes).
-    pub embed: Option<&'static str>,
-    /// Deadline-model fallback.
-    pub deadline_miss: bool,
-    /// Any fallback (deadline, inadmissible, or solve degradation).
-    pub fallback: bool,
-    /// The request errored (e.g. unknown backend).
-    pub error: bool,
-    /// SLO class for deadline-carrying requests.
-    pub slo: Option<&'static str>,
-    /// Plan cost under the exact request query.
-    pub cost: Option<f64>,
-    /// Wall-clock service latency, microseconds. Volatile.
-    pub latency_us: u64,
-}
-
-fn outcome_from(
-    req: &Request,
-    resp: &crate::request::Response,
-    event: &ServeEvent,
-) -> RequestOutcome {
-    RequestOutcome {
-        backend: req.backend.clone(),
-        cache: resp.cache,
-        embed: event.embed,
-        deadline_miss: resp.deadline_miss,
-        fallback: resp.fallback,
-        error: resp.error.is_some(),
-        slo: event.slo,
-        cost: resp.cost,
-        latency_us: event.latency_us,
-    }
-}
-
-/// Replays `requests` and also returns the service's per-request event
-/// log for the replay (draining the service's event buffer as it goes).
-/// Outcome fields — embed attribution, SLO class, latency — come from
-/// the events, so open-loop requests get real per-request attribution
-/// instead of shared-fate estimates. Request ids must be unique (the
-/// generator's are).
-pub fn run_with_events(
-    service: &Service,
-    requests: &[Request],
-    mode: LoadMode,
-) -> (Vec<RequestOutcome>, Vec<ServeEvent>) {
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut events = Vec::with_capacity(requests.len());
+/// Replays `requests` against the service under the mix's arrival mode
+/// and drains the service's event log: one event per request, in
+/// service order (an open-loop batch is served grouped by class).
+pub fn run_with_events(service: &Service, requests: &[Request], mode: LoadMode) -> Vec<ServeEvent> {
     match mode {
-        LoadMode::Closed => {
-            for req in requests {
-                let resp = service.handle(req);
-                let drained = service.drain_events();
-                let event = drained.last().expect("handle records one event");
-                outcomes.push(outcome_from(req, &resp, event));
-                events.extend(drained);
-            }
-        }
+        LoadMode::Closed => requests.iter().for_each(|req| drop(service.handle(req))),
         LoadMode::Open { batch } => {
             assert!(batch >= 1, "open-loop arrivals need a positive batch");
-            for group in requests.chunks(batch) {
-                let resps = service.handle_batch(group);
-                let drained = service.drain_events();
-                for (req, resp) in group.iter().zip(&resps) {
-                    let event = drained
-                        .iter()
-                        .find(|e| e.id == req.id)
-                        .expect("one event per batched request");
-                    outcomes.push(outcome_from(req, resp, event));
-                }
-                events.extend(drained);
-            }
+            requests.chunks(batch).for_each(|group| drop(service.handle_batch(group)));
         }
     }
-    (outcomes, events)
-}
-
-/// Replays `requests` against the service under the mix's arrival mode.
-pub fn run(service: &Service, requests: &[Request], mode: LoadMode) -> Vec<RequestOutcome> {
-    run_with_events(service, requests, mode).0
+    service.drain_events()
 }
 
 /// One deterministic report row (per backend).
@@ -258,19 +183,18 @@ pub struct ReportRow {
     pub mean_cost: f64,
 }
 
-/// Aggregates outcomes into per-backend rows, sorted by backend name.
-/// Every field is deterministic for a deterministic outcome stream.
-pub fn aggregate_report(outcomes: &[RequestOutcome]) -> Vec<ReportRow> {
-    let mut by_backend: std::collections::BTreeMap<&str, Vec<&RequestOutcome>> =
+/// Aggregates events into per-backend rows, sorted by backend name.
+/// Every field is deterministic for a deterministic request stream.
+pub fn aggregate_report(events: &[ServeEvent]) -> Vec<ReportRow> {
+    let mut by_backend: std::collections::BTreeMap<&str, Vec<&ServeEvent>> =
         std::collections::BTreeMap::new();
-    for o in outcomes {
-        by_backend.entry(&o.backend).or_default().push(o);
+    for e in events {
+        by_backend.entry(&e.backend).or_default().push(e);
     }
     by_backend
         .into_iter()
         .map(|(backend, os)| {
-            let count =
-                |f: &dyn Fn(&RequestOutcome) -> bool| os.iter().filter(|o| f(o)).count() as u64;
+            let count = |f: &dyn Fn(&ServeEvent) -> bool| os.iter().filter(|o| f(o)).count() as u64;
             let costs: Vec<f64> = os.iter().filter_map(|o| o.cost).collect();
             let mean_cost =
                 if costs.is_empty() { 0.0 } else { costs.iter().sum::<f64>() / costs.len() as f64 };
@@ -281,9 +205,9 @@ pub fn aggregate_report(outcomes: &[RequestOutcome]) -> Vec<ReportRow> {
                 cache_misses: count(&|o| o.cache == Some("miss")),
                 embed_hits: count(&|o| o.embed == Some("hit")),
                 embed_cold: count(&|o| o.embed == Some("cold")),
-                deadline_misses: count(&|o| o.deadline_miss),
-                fallbacks: count(&|o| o.fallback),
-                errors: count(&|o| o.error),
+                deadline_misses: count(&|o| o.reason == Some("deadline")),
+                fallbacks: count(&|o| o.outcome == "fallback"),
+                errors: count(&|o| o.outcome == "error"),
                 slo_met: count(&|o| o.slo == Some("met")),
                 slo_degraded: count(&|o| o.slo == Some("degraded")),
                 slo_missed: count(&|o| o.slo == Some("missed")),
@@ -318,10 +242,10 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// Aggregates wall-clock latencies. The row *set* is deterministic (it
 /// only depends on which deterministic classes occurred); the values are
 /// volatile.
-pub fn aggregate_latency(outcomes: &[RequestOutcome]) -> Vec<LatencyRow> {
+pub fn aggregate_latency(events: &[ServeEvent]) -> Vec<LatencyRow> {
     let mut by_key: std::collections::BTreeMap<String, Vec<u64>> =
         std::collections::BTreeMap::new();
-    for o in outcomes {
+    for o in events {
         by_key.entry(o.backend.clone()).or_default().push(o.latency_us);
         match o.embed {
             Some("cold") => {
@@ -404,35 +328,39 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_counts_match_the_outcomes() {
-        let outcomes = vec![
-            RequestOutcome {
-                backend: "sa".into(),
-                cache: Some("miss"),
-                embed: None,
-                deadline_miss: false,
-                fallback: false,
-                error: false,
-                slo: Some("met"),
-                cost: Some(4.0),
-                latency_us: 100,
-            },
-            RequestOutcome {
-                backend: "sa".into(),
-                cache: Some("hit"),
-                embed: None,
-                deadline_miss: true,
-                fallback: true,
-                error: false,
-                slo: Some("degraded"),
-                cost: Some(6.0),
-                latency_us: 50,
-            },
-        ];
-        let rows = aggregate_report(&outcomes);
+    fn aggregation_counts_match_the_events() {
+        let met = ServeEvent {
+            seq: 0,
+            id: "a".into(),
+            backend: "sa".into(),
+            fingerprint: "fp".into(),
+            deadline_ms: Some(60_000),
+            admitted: true,
+            cache: Some("miss"),
+            embed: None,
+            outcome: "ok",
+            reason: None,
+            slo: Some("met"),
+            cost: Some(4.0),
+            est_cost_us: Some(1),
+            latency_us: 100,
+            portfolio: None,
+            winner: None,
+            cancelled: None,
+        };
+        let diverted = ServeEvent {
+            admitted: false,
+            cache: None,
+            outcome: "fallback",
+            reason: Some("deadline"),
+            slo: Some("degraded"),
+            cost: Some(6.0),
+            ..met.clone()
+        };
+        let rows = aggregate_report(&[met, diverted]);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
-        assert_eq!((r.requests, r.cache_hits, r.cache_misses), (2, 1, 1));
+        assert_eq!((r.requests, r.cache_hits, r.cache_misses), (2, 0, 1));
         assert_eq!((r.deadline_misses, r.fallbacks, r.errors), (1, 1, 0));
         assert_eq!((r.slo_met, r.slo_degraded, r.slo_missed), (1, 1, 0));
         assert!((r.mean_cost - 5.0).abs() < 1e-12);

@@ -5,7 +5,9 @@
 //! statevector simulator — is wrapped behind one small trait so the
 //! serving loop can treat them interchangeably: `pre_check` a request
 //! (deterministic admission + cost model), `optimize_join_order` it, or
-//! `describe` the backend for reports.
+//! `describe` the backend for reports. `optimize_join_order` is the one
+//! entry point: it receives the request's [`CanonicalQuery`], computed
+//! once per request by the service, so no backend canonicalises again.
 //!
 //! Cost estimates are *nominal microseconds from a static work model*,
 //! not measurements: admission and deadline decisions must be
@@ -15,6 +17,7 @@
 use qjo_core::Query;
 
 use crate::cache::CacheStatus;
+use crate::fingerprint::CanonicalQuery;
 
 /// What a backend is, for reports and routing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,64 +86,31 @@ pub struct Plan {
     /// cache-stat deltas — so telemetry attribution stays correct when
     /// concurrent requests interleave their cache traffic.
     pub embed: Option<&'static str>,
-    /// True when the solver failed to decode a valid order and the plan
-    /// came from the greedy fallback instead.
+    /// True when the plan came from the greedy fallback instead: the
+    /// solver decoded no valid order, or the query lies outside the
+    /// backend's `pre_check` envelope.
     pub fallback: bool,
     /// Race metadata when a portfolio produced this plan.
     pub race: Option<RaceOutcome>,
 }
 
-/// Serving errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeError {
-    /// The backend's `pre_check` rejects this query.
-    Unsupported {
-        /// Backend that rejected the request.
-        backend: &'static str,
-        /// Human-readable rejection reason.
-        reason: String,
-    },
-    /// The solve itself failed after retries and fallback.
-    Solve {
-        /// Backend that failed.
-        backend: &'static str,
-        /// Human-readable failure reason.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Unsupported { backend, reason } => {
-                write!(f, "{backend}: unsupported request: {reason}")
-            }
-            ServeError::Solve { backend, reason } => write!(f, "{backend}: solve failed: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
 /// A join-order optimisation backend, PostBOUND-style.
 pub trait JoinOrderOptimizer: Send + Sync {
-    /// Optimises the join order of `query`.
-    fn optimize_join_order(&self, query: &Query) -> Result<Plan, ServeError>;
-
-    /// Like [`optimize_join_order`](Self::optimize_join_order), but told
-    /// the remaining deadline budget in *model* microseconds (`None` for
-    /// deadline-free requests). The default ignores the budget; the
-    /// `qjo-sched` portfolio derives its racers' attempt/sweep budgets
-    /// from it — never from wall-clock, so plans stay a pure function of
-    /// the request.
-    fn optimize_under_budget(
+    /// Optimises the join order of `query`. `canon` is its canonical
+    /// form under the shared cache's fingerprint config (formulating
+    /// backends key the cache on it); `budget_us` is the remaining
+    /// deadline budget in *model* microseconds, `None` for deadline-free
+    /// requests. Only the `qjo-sched` portfolio reads the budget, deriving
+    /// its racers' chunk budgets from it — never from wall-clock, so
+    /// plans stay a pure function of the request. Never fails: a backend
+    /// that cannot answer returns the greedy plan marked
+    /// [`Plan::fallback`].
+    fn optimize_join_order(
         &self,
         query: &Query,
+        canon: &CanonicalQuery,
         budget_us: Option<u64>,
-    ) -> Result<Plan, ServeError> {
-        let _ = budget_us;
-        self.optimize_join_order(query)
-    }
+    ) -> Plan;
 
     /// Identifies the backend.
     fn describe(&self) -> BackendInfo;

@@ -11,12 +11,17 @@
 //! speed, and the drift-gated report can assert on it byte-exactly.
 //! Wall-clock latencies are still measured (the `serve.request` span and
 //! the volatile latency artifact) — they just never steer control flow.
+//!
+//! A request to a known backend is canonicalised once, right after its
+//! backend name resolves; admission, the backend and the event all read
+//! that one [`CanonicalQuery`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use qjo_anneal::AnnealerSampler;
+use qjo_core::classical::greedy_min_cost;
 use qjo_core::JoEncoder;
 use qjo_exec::Parallelism;
 use qjo_obs::json::Json;
@@ -28,8 +33,8 @@ use crate::backends::{
 };
 use crate::cache::FormulationCache;
 use crate::events::ServeEvent;
-use crate::fingerprint::FingerprintConfig;
-use crate::optimizer::{JoinOrderOptimizer, Plan, RaceOutcome, ServeError};
+use crate::fingerprint::{CanonicalQuery, FingerprintConfig};
+use crate::optimizer::{JoinOrderOptimizer, Plan, RaceOutcome};
 use crate::request::{Request, Response};
 use crate::telemetry::Telemetry;
 
@@ -65,7 +70,6 @@ impl AdmissionMode {
 /// cache, with the greedy planner as the universal fallback.
 pub struct Service {
     backends: BTreeMap<String, Box<dyn JoinOrderOptimizer>>,
-    fallback: GreedyBackend,
     cache: Arc<FormulationCache>,
     telemetry: Telemetry,
     admission: AdmissionMode,
@@ -99,13 +103,7 @@ impl Service {
         // quarter-decade buckets keep their percentiles honest where
         // log2 would quantise to the nearest power of two.
         qjo_obs::global().histogram_with_mode("serve.latency", BucketMode::QuarterDecade);
-        Service {
-            backends,
-            fallback: GreedyBackend,
-            cache,
-            telemetry: Telemetry::new(),
-            admission: AdmissionMode::Static,
-        }
+        Service { backends, cache, telemetry: Telemetry::new(), admission: AdmissionMode::Static }
     }
 
     /// The full backend roster at smoke scale: every solver family, with
@@ -234,9 +232,15 @@ impl Service {
         self.count("serve.requests.malformed", 1);
     }
 
-    /// Increments a global counter and the local telemetry tally under
-    /// the same name, keeping the stats snapshot reconcilable with the
-    /// run manifest.
+    /// Counts an answered in-band `stats` command.
+    pub fn note_stats(&self) {
+        self.count("serve.stats.requests", 1);
+    }
+
+    /// The one write site of the service's `serve.*` counters: increments
+    /// the global counter and the local telemetry tally under the same
+    /// name, keeping the stats snapshot reconcilable with the run
+    /// manifest.
     fn count(&self, name: &str, n: u64) {
         qjo_obs::counter(name).add(n);
         self.telemetry.add(name, n);
@@ -291,18 +295,16 @@ impl Service {
         Json::Obj(root)
     }
 
-    fn greedy_response(&self, req: &Request, deadline_miss: bool, fallback: bool) -> Response {
-        let plan = self
-            .fallback
-            .optimize_join_order(&req.query)
-            .expect("greedy never fails on a valid query");
+    /// The greedy order a diverted request is answered with.
+    fn greedy_response(&self, req: &Request, deadline_miss: bool) -> Response {
+        let (jo, cost) = greedy_min_cost(&req.query);
         Response {
             id: req.id.clone(),
             backend: req.backend.clone(),
-            order: plan.order,
-            cost: Some(plan.cost),
+            order: jo.order,
+            cost: Some(cost),
             cache: None,
-            fallback,
+            fallback: true,
             deadline_miss,
             error: None,
         }
@@ -311,12 +313,17 @@ impl Service {
     /// The work-model key admission would bill this request under,
     /// predicted without perturbing the cache (resident formulation /
     /// embedding → warm-side key).
-    fn predicted_work_key(&self, backend: &dyn JoinOrderOptimizer, req: &Request) -> String {
+    fn predicted_work_key(
+        &self,
+        backend: &dyn JoinOrderOptimizer,
+        req: &Request,
+        canon: &CanonicalQuery,
+    ) -> String {
         let info = backend.describe();
         if info.family == "classical" {
             return req.backend.clone();
         }
-        let (_, resident) = self.cache.peek(&req.query);
+        let resident = self.cache.peek_canonical(canon);
         if info.name == "annealer" {
             match resident {
                 Some(entry) if entry.has_embedding() => format!("{}:warm", req.backend),
@@ -335,6 +342,19 @@ impl Service {
     pub fn handle(&self, req: &Request) -> Response {
         let _span = qjo_obs::span!("serve.request");
         let start = Instant::now();
+        let canon = self.canonicalize(req);
+        self.respond(req, canon.as_ref(), start)
+    }
+
+    /// The request's one canonicalisation, or `None` when its backend is
+    /// unknown (such requests are answered without one).
+    fn canonicalize(&self, req: &Request) -> Option<CanonicalQuery> {
+        self.backends.contains_key(&req.backend).then(|| self.cache.canonicalize(&req.query))
+    }
+
+    /// Serves a request whose canonical form `canon` the caller already
+    /// computed (`None` exactly when the backend is unknown).
+    fn respond(&self, req: &Request, canon: Option<&CanonicalQuery>, start: Instant) -> Response {
         self.count("serve.requests", 1);
         if req.query.has_estimates() {
             // Misestimated request: track the worst realised q-error seen by
@@ -347,7 +367,7 @@ impl Service {
             }
         }
         let cache_before = self.cache.stats();
-        let (resp, meta) = self.handle_inner(req);
+        let (resp, meta) = self.handle_inner(req, canon);
         let cache_after = self.cache.stats();
         let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         qjo_obs::global()
@@ -386,7 +406,7 @@ impl Service {
                 // as missed here — every fallback estimate is at least
                 // 1 µs, consistent with admission's 0-budget divert.
                 let budget_us = deadline_ms.saturating_mul(1000);
-                if self.fallback.pre_check(&req.query).cost_estimate_us <= budget_us {
+                if GreedyBackend.pre_check(&req.query).cost_estimate_us <= budget_us {
                     "degraded"
                 } else {
                     "missed"
@@ -397,11 +417,7 @@ impl Service {
             self.count(&format!("serve.slo.{class}"), 1);
             self.count(&format!("serve.slo.{class}.{}", req.backend), 1);
         }
-        let fingerprint = if meta.reason == Some("unknown_backend") {
-            String::new()
-        } else {
-            self.cache.canonicalize(&req.query).fingerprint
-        };
+        let fingerprint = canon.map(|c| c.fingerprint.clone()).unwrap_or_default();
         let (portfolio, winner, cancelled) = match &meta.race {
             Some(race) => (
                 Some(race.portfolio.clone()),
@@ -432,8 +448,12 @@ impl Service {
         resp
     }
 
-    fn handle_inner(&self, req: &Request) -> (Response, HandleMeta) {
-        let Some(backend) = self.backends.get(&req.backend) else {
+    fn handle_inner(
+        &self,
+        req: &Request,
+        canon: Option<&CanonicalQuery>,
+    ) -> (Response, HandleMeta) {
+        let Some((backend, canon)) = self.backends.get(&req.backend).zip(canon) else {
             self.count("serve.unknown_backend", 1);
             let resp = Response {
                 id: req.id.clone(),
@@ -453,10 +473,7 @@ impl Service {
             // degrade to greedy so the caller still gets an order.
             self.count("serve.unsupported", 1);
             self.count("serve.fallback", 1);
-            return (
-                self.greedy_response(req, false, true),
-                HandleMeta::diverted("unsupported", None),
-            );
+            return (self.greedy_response(req, false), HandleMeta::diverted("unsupported", None));
         }
         let mut est_cost_us = None;
         let mut budget = None;
@@ -465,7 +482,7 @@ impl Service {
             let est = match self.admission {
                 AdmissionMode::Static => check.cost_estimate_us,
                 AdmissionMode::Calibrated { min_samples } => {
-                    let key = self.predicted_work_key(backend.as_ref(), req);
+                    let key = self.predicted_work_key(backend.as_ref(), req, canon);
                     self.telemetry
                         .cost_estimate_us(&key, min_samples)
                         .unwrap_or(check.cost_estimate_us)
@@ -481,81 +498,54 @@ impl Service {
                 self.count("serve.deadline.miss", 1);
                 self.count("serve.fallback", 1);
                 return (
-                    self.greedy_response(req, true, true),
+                    self.greedy_response(req, true),
                     HandleMeta::diverted("deadline", est_cost_us),
                 );
             }
             budget = Some(budget_us);
         }
-        match backend.optimize_under_budget(&req.query, budget) {
-            Ok(Plan { order, cost, cache, embed, fallback, race }) => {
-                if fallback {
-                    self.count("serve.fallback", 1);
-                    // `plan_via_cache` already bumped the global
-                    // `serve.solve.fallback`; mirror it locally.
-                    self.telemetry.add("serve.solve.fallback", 1);
-                }
-                let resp = Response {
-                    id: req.id.clone(),
-                    backend: req.backend.clone(),
-                    order,
-                    cost: Some(cost),
-                    cache: cache.map(|s| s.name()),
-                    fallback,
-                    deadline_miss: false,
-                    error: None,
-                };
-                let reason = if fallback { Some("solve") } else { None };
-                (resp, HandleMeta { admitted: true, reason, est_cost_us, embed, race })
-            }
-            Err(e @ ServeError::Unsupported { .. }) | Err(e @ ServeError::Solve { .. }) => {
-                // pre_check admitted it but the solve still failed: last
-                // resort is still a greedy order plus the error text.
-                self.count("serve.fallback", 1);
-                let mut resp = self.greedy_response(req, false, true);
-                resp.error = Some(e.to_string());
-                let meta = HandleMeta {
-                    admitted: true,
-                    reason: Some("solve"),
-                    est_cost_us,
-                    embed: None,
-                    race: None,
-                };
-                (resp, meta)
-            }
+        let Plan { order, cost, cache, embed, fallback, race } =
+            backend.optimize_join_order(&req.query, canon, budget);
+        if fallback {
+            self.count("serve.fallback", 1);
+            self.count("serve.solve.fallback", 1);
         }
+        let resp = Response {
+            id: req.id.clone(),
+            backend: req.backend.clone(),
+            order,
+            cost: Some(cost),
+            cache: cache.map(|s| s.name()),
+            fallback,
+            deadline_miss: false,
+            error: None,
+        };
+        let reason = if fallback { Some("solve") } else { None };
+        (resp, HandleMeta { admitted: true, reason, est_cost_us, embed, race })
     }
 
     /// Serves a batch, grouping compatible requests (same backend, same
     /// fingerprint class) so one formulation/embedding build is shared by
-    /// the whole group. Responses come back in request order.
+    /// the whole group. Responses come back in request order. Each
+    /// request's canonical form is computed once, as its grouping key,
+    /// and handed on to [`handle`](Self::handle)'s serving path.
     pub fn handle_batch(&self, reqs: &[Request]) -> Vec<Response> {
+        let canons: Vec<Option<CanonicalQuery>> =
+            reqs.iter().map(|r| self.canonicalize(r)).collect();
         // Stable-sort indices by (backend, fingerprint): groups become
         // adjacent, the first member warms the cache, the rest hit.
-        let keys: Vec<(String, String)> = reqs
-            .iter()
-            .map(|r| (r.backend.clone(), self.cache.canonicalize(&r.query).fingerprint))
-            .collect();
-        let mut idx: Vec<usize> = (0..reqs.len()).collect();
-        idx.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-        let groups = {
-            let mut g = 0u64;
-            for w in idx.windows(2) {
-                if keys[w[0]] != keys[w[1]] {
-                    g += 1;
-                }
-            }
-            if idx.is_empty() {
-                0
-            } else {
-                g + 1
-            }
+        let key = |i: usize| {
+            (reqs[i].backend.as_str(), canons[i].as_ref().map_or("", |c| c.fingerprint.as_str()))
         };
-        qjo_obs::counter!("serve.batch.groups").add(groups);
-        self.telemetry.add("serve.batch.groups", groups);
+        let mut idx: Vec<usize> = (0..reqs.len()).collect();
+        idx.sort_by(|&a, &b| key(a).cmp(&key(b)).then(a.cmp(&b)));
+        let boundaries = idx.windows(2).filter(|w| key(w[0]) != key(w[1])).count();
+        let groups = if idx.is_empty() { 0 } else { boundaries as u64 + 1 };
+        self.count("serve.batch.groups", groups);
         let mut out: Vec<Option<Response>> = vec![None; reqs.len()];
         for &i in &idx {
-            out[i] = Some(self.handle(&reqs[i]));
+            let _span = qjo_obs::span!("serve.request");
+            out[i] = Some(self.respond(&reqs[i], canons[i].as_ref(), Instant::now()));
         }
         out.into_iter().map(|r| r.expect("every request answered")).collect()
     }
@@ -842,7 +832,8 @@ mod tests {
         // The entry is resident now, so admission for the next α request
         // would predict the hit-side key…
         let backend = svc.backends.get("sa").expect("registered");
-        assert_eq!(svc.predicted_work_key(backend.as_ref(), &ra), "sa:hit");
+        let canon = svc.cache.canonicalize(&ra.query);
+        assert_eq!(svc.predicted_work_key(backend.as_ref(), &ra, &canon), "sa:hit");
         // …but β's lookup evicts α before that request executes.
         assert_eq!(svc.handle(&rb).cache, Some("miss"));
         assert_eq!(svc.handle(&ra).cache, Some("miss"));

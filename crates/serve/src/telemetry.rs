@@ -3,11 +3,16 @@
 //!
 //! The global `qjo-obs` registry aggregates every service in the process
 //! (tests included), which makes it useless for a *per-service* stats
-//! snapshot. [`Telemetry`] therefore keeps its own tallies, incremented
-//! by [`Service`](crate::service::Service) alongside the global
-//! counters under the **same names** — so a stats snapshot reconciles
-//! exactly with the run manifest whenever one service owns the process
-//! (the `qjo-serve` binary and `serve-bench` both do).
+//! snapshot. [`Telemetry`] therefore keeps its own tallies under the
+//! **same names** as the global counters. Both are written at one site,
+//! the service's private `count` helper, which every `serve.*` counter
+//! the service owns goes through (including the serve loop's
+//! `serve.requests.malformed` and `serve.stats.requests`, via
+//! [`Service::note_malformed`](crate::service::Service::note_malformed)
+//! and [`Service::note_stats`](crate::service::Service::note_stats)). A
+//! stats snapshot therefore reconciles exactly with the run manifest
+//! whenever one service owns the process (the `qjo-serve` binary and
+//! `serve-bench` both do).
 //!
 //! Events accumulate until drained; wall-clock latencies additionally
 //! feed a [`WorkModel`] keyed by `(backend, cache-state)` so admission
@@ -76,7 +81,8 @@ impl Telemetry {
         }
     }
 
-    /// Adds `n` to the local tally `name` (mirrors a global counter).
+    /// Adds `n` to the local tally `name`. The service calls this next
+    /// to the identically-named global counter, at its one counting site.
     pub fn add(&self, name: &str, n: u64) {
         let mut state = self.state.lock().expect("telemetry lock");
         *state.counters.entry(name.to_string()).or_insert(0) += n;

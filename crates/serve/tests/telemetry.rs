@@ -36,7 +36,7 @@ fn deterministic_event_fields_are_identical_across_thread_counts() {
         let service = Service::smoke(13, Parallelism::new(threads));
         let mix = fast_mix(13);
         let requests = loadgen::generate_requests(&mix);
-        let (_, events) = loadgen::run_with_events(&service, &requests, mix.mode);
+        let events = loadgen::run_with_events(&service, &requests, mix.mode);
         assert_eq!(validate_events(&events), Vec::<String>::new());
         render_canonical(&events)
     };
@@ -53,7 +53,7 @@ fn stats_snapshot_reconciles_with_the_global_counter_deltas() {
     let before = qjo_obs::global().snapshot();
     let mix = fast_mix(13);
     let requests = loadgen::generate_requests(&mix);
-    loadgen::run(&service, &requests, mix.mode);
+    loadgen::run_with_events(&service, &requests, mix.mode);
     let deltas = qjo_obs::global().snapshot().counter_deltas_since(&before);
     let snap = service.stats_snapshot();
     let counters = snap.get("counters").and_then(|c| c.as_obj()).expect("counters object");
@@ -153,10 +153,10 @@ fn calibration_learns_cached_vs_cold_embed_ordering_from_observation() {
         ..LoadMix::smoke(7)
     };
     let requests = loadgen::generate_requests(&mix);
-    let (outcomes, events) = loadgen::run_with_events(&service, &requests, LoadMode::Closed);
+    let events = loadgen::run_with_events(&service, &requests, LoadMode::Closed);
     assert_eq!(validate_events(&events), Vec::<String>::new());
-    assert_eq!(outcomes.iter().filter(|o| o.embed == Some("cold")).count(), 1);
-    assert!(outcomes.iter().filter(|o| o.embed == Some("hit")).count() >= 3);
+    assert_eq!(events.iter().filter(|e| e.embed == Some("cold")).count(), 1);
+    assert!(events.iter().filter(|e| e.embed == Some("hit")).count() >= 3);
     // The estimator reproduces the cache's raison d'être from observed
     // data alone: cached-embedding requests are far cheaper than the
     // cold embed.
