@@ -34,5 +34,5 @@ pub mod sqa;
 pub use clique::pegasus_clique_embedding;
 pub use embed::{Embedder, Embedding, EmbeddingError};
 pub use ice::IceNoise;
-pub use sampler::{AnnealError, AnnealOutcome, AnnealerSampler};
+pub use sampler::{AnnealError, AnnealOutcome, AnnealerSampler, SourceGraph};
 pub use sqa::{anneal_compiled, reverse_anneal_once, SqaConfig, MIN_SWEEPS};

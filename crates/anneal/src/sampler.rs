@@ -64,6 +64,34 @@ const CHAIN_STORM_ESCALATION: f64 = 1.5;
 /// Domain-separation constant for reseeding rejected job resubmissions.
 const JOB_RESUBMIT_SALT: u64 = 0x6a6f_625f_7265_7375;
 
+/// The interaction graph a QUBO is minor-embedded by: its variable count
+/// and its non-zero Ising couplings, in coupling order.
+///
+/// [`AnnealerSampler::embed`] consumes exactly this graph, so for a fixed
+/// embedder and topology its outcome is a pure function of it: two QUBOs
+/// with the same support but different coefficients embed identically,
+/// and a cache may share one embedding between them under this key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SourceGraph {
+    /// Logical variables (chains to place).
+    pub num_vars: usize,
+    /// Non-zero couplings `(i, j)` with `i < j`, in ascending order.
+    pub edges: Vec<(usize, usize)>,
+}
+
+impl SourceGraph {
+    /// The source graph of `qubo`.
+    pub fn of(qubo: &Qubo) -> Self {
+        let edges = qubo
+            .to_ising()
+            .couplings()
+            .filter(|&(_, _, j)| j != 0.0)
+            .map(|(i, j, _)| (i, j))
+            .collect();
+        SourceGraph { num_vars: qubo.num_vars(), edges }
+    }
+}
+
 /// Everything one sampling job returns.
 #[derive(Debug, Clone)]
 pub struct AnnealOutcome {
@@ -145,10 +173,7 @@ impl AnnealerSampler {
     /// resort. Only then is [`AnnealError::EmbeddingFailed`] reported.
     pub fn embed(&self, qubo: &Qubo) -> Result<Embedding, AnnealError> {
         let _span = qjo_obs::span!("anneal.embed");
-        let logical = qubo.to_ising();
-        let source_edges: Vec<(usize, usize)> =
-            logical.couplings().filter(|&(_, _, j)| j != 0.0).map(|(i, j, _)| (i, j)).collect();
-        let num_vars = qubo.num_vars();
+        let SourceGraph { num_vars, edges: source_edges } = SourceGraph::of(qubo);
         let embedded = qjo_resil::with_retries("anneal.embed", EMBED_ATTEMPTS, |attempt| {
             if qjo_resil::should_inject("anneal.embed", self.embedder.seed, attempt as u64) {
                 return Err(());

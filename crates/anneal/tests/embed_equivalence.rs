@@ -10,6 +10,10 @@
 //!   against the textbook `BinaryHeap<Reverse<(f64, usize)>>` Dijkstra it
 //!   replaced, on cost vectors full of ties, and demands bit-equal
 //!   distances and equal predecessors.
+//! * `embedding_depends_only_on_the_source_graph` pins what a cache that
+//!   shares embeddings by `SourceGraph` relies on: QUBOs with one support
+//!   and different coefficients embed to equal chains, and the graph
+//!   `AnnealerSampler::embed` consumes is `SourceGraph::of`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,7 +24,8 @@ use rand::{RngExt, SeedableRng};
 
 use qjo_anneal::embed::PathKernel;
 use qjo_anneal::hardware::{chimera, pegasus_like};
-use qjo_anneal::Embedder;
+use qjo_anneal::{AnnealerSampler, Embedder, SourceGraph};
+use qjo_qubo::Qubo;
 use qjo_transpile::Topology;
 
 const GOLDEN: &str = "tests/golden/embed_chains.txt";
@@ -165,4 +170,40 @@ fn kernel_matches_binary_heap_oracle() {
             assert_eq!(pred, want_pred, "pred, n={n} case {case}");
         }
     }
+}
+
+#[test]
+fn embedding_depends_only_on_the_source_graph() {
+    let n = 25;
+    let edges = sparse_edges(n, 11);
+    let qubo = |scale: f64| {
+        let mut q = Qubo::new(n);
+        for (k, &(a, b)) in edges.iter().enumerate() {
+            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+            q.add_quadratic(a, b, sign * scale * (1 + k % 5) as f64);
+        }
+        for v in 0..n {
+            q.add_linear(v, -scale * v as f64);
+        }
+        q
+    };
+    let a = qubo(1.0);
+    let mut b = qubo(-3.5);
+    // An explicit zero coupling is no edge of the source graph.
+    let (i, j) = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+        .find(|e| !edges.contains(e))
+        .expect("the graph is sparse");
+    b.add_quadratic(i, j, 0.0);
+
+    let graph = SourceGraph::of(&a);
+    assert_eq!(graph, SourceGraph { num_vars: n, edges: edges.clone() });
+    assert_eq!(SourceGraph::of(&b), graph);
+
+    let sampler = AnnealerSampler::new(pegasus_like(8));
+    let from_a = sampler.embed(&a).expect("a embeds");
+    let from_b = sampler.embed(&b).expect("b embeds");
+    assert_eq!(from_a.chains, from_b.chains);
+    let direct = sampler.embedder.embed(n, &graph.edges, &sampler.topology).expect("embeds");
+    assert_eq!(from_a.chains, direct.chains);
 }

@@ -23,8 +23,10 @@ pub struct InstanceFeatures {
     /// Whether the request's fingerprint class is already formulated
     /// (a cache peek; racers skip the formulation cost on a hit).
     pub formulation_resident: bool,
-    /// Whether that class also has a minor-embedding resident (the
-    /// difference between milliseconds and seconds on the annealer path).
+    /// Whether a successful minor-embedding of that class's source graph
+    /// is stored, possibly embedded by another class with the same graph
+    /// (the difference between milliseconds and a cold embed on the
+    /// annealer path).
     pub embedding_resident: bool,
 }
 

@@ -6,8 +6,9 @@
 //! once by the service and passed in) keys the cache, the formulation is
 //! fetched or built, solved in canonical labels, decoded, and the order
 //! mapped back to the requester's labelling — so every member of a
-//! fingerprint class reuses the same QUBO (and, for the annealer, the
-//! same minor-embedding).
+//! fingerprint class reuses the same QUBO. The annealer's minor-embedding
+//! is shared wider still, by every class whose QUBO has the same source
+//! graph.
 //!
 //! A decode failure is retried with a reseeded solve under the
 //! `resil.serve.solve.*` taxonomy; when the budget is exhausted the
@@ -34,8 +35,10 @@ use crate::optimizer::{BackendInfo, JoinOrderOptimizer, Plan, PreCheck};
 
 /// Reseeded solve attempts before degrading to the greedy fallback.
 const SOLVE_ATTEMPTS: usize = 3;
-/// Nominal model-microseconds charged for a cold minor-embedding (the
-/// measured smoke p90 is ≈ 2.1 s).
+/// Nominal model-microseconds charged for a cold minor-embedding. It is
+/// a flat price: a cold embed that succeeds measures about 0.3 s at p50
+/// in the serve smoke, while a graph that exhausts every try costs tens
+/// of seconds, so this over-prices the first and under-prices the second.
 const EMBED_NOMINAL_US: u64 = 2_000_000;
 /// Nominal model-microseconds to formulate (MILP→BILP→QUBO) on a miss.
 const FORMULATE_NOMINAL_US: u64 = 100;
@@ -242,10 +245,10 @@ impl JoinOrderOptimizer for SqaBackend {
 }
 
 /// The full annealer pipeline (embed → ICE → SQA → unembed) with the
-/// minor-embedding cached per fingerprint class — the backend the cache
-/// exists for.
+/// minor-embedding outcome cached per source graph — the backend the
+/// cache's embedding store exists for.
 pub struct AnnealerBackend {
-    /// Shared formulation cache (embeddings live on its entries).
+    /// Shared formulation cache (embeddings live in its embedding store).
     pub cache: Arc<FormulationCache>,
     /// Pipeline template; attempt `i` reseeds `sqa.seed` from
     /// `(sqa.seed, i)`.
@@ -255,9 +258,10 @@ pub struct AnnealerBackend {
 impl JoinOrderOptimizer for AnnealerBackend {
     fn optimize_join_order(&self, query: &Query, canon: &CanonicalQuery, _: Option<u64>) -> Plan {
         // The *first* attempt's embedding outcome is what the request
-        // actually paid for (a retry always hits the embedding cached by
-        // the attempt before it), so it is the status telemetry should
-        // bill this request under.
+        // actually paid for (a retry always finds the outcome the attempt
+        // before it stored, success or failure, so the request embeds at
+        // most once), so it is the status telemetry should bill this
+        // request under.
         let embed_status = std::cell::Cell::new(None::<&'static str>);
         let mut plan = plan_via_cache(&self.cache, query, canon, |attempt, entry| {
             let mut sampler = self.sampler.clone();

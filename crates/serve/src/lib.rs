@@ -9,11 +9,13 @@
 //!
 //! The core subsystem is the content-addressed [`cache`]: requests are
 //! canonicalised by a graph-isomorphism [`fingerprint`] over topology +
-//! bucketed cardinalities, and the expensive derived artifacts — the QUBO
-//! formulation and (for the annealer) the Pegasus minor-embedding — are
-//! cached per fingerprint class. Two structurally-equal queries that
-//! differ only by relation labels or sub-bucket cardinality noise share
-//! one formulation and one embedding.
+//! bucketed cardinalities, and the QUBO formulation is cached per
+//! fingerprint class: two structurally-equal queries that differ only by
+//! relation labels or sub-bucket cardinality noise share one formulation.
+//! The annealer's Pegasus minor-embedding is cached one level coarser, per
+//! *source graph* of the formulation (its variables and non-zero
+//! couplings), so classes that differ only in cardinalities share one
+//! embedding, and a failed embed is remembered rather than retried.
 //!
 //! Each request is canonicalised once: [`Service`] computes the
 //! [`CanonicalQuery`] as soon as the backend name resolves and passes it

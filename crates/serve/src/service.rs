@@ -254,6 +254,7 @@ impl Service {
     /// manifest when one service owns the process.
     pub fn stats_snapshot(&self) -> Json {
         let cache = self.cache.stats();
+        let embed_neg_hits = self.cache.embed_neg_hits();
         let lookups = cache.hits + cache.misses;
         let embeds = cache.embed_hits + cache.embed_misses;
         let rate = |part: u64, whole: u64| {
@@ -271,6 +272,7 @@ impl Service {
         cache_obj.insert("evictions".into(), Json::from(cache.evictions));
         cache_obj.insert("embed_hits".into(), Json::from(cache.embed_hits));
         cache_obj.insert("embed_misses".into(), Json::from(cache.embed_misses));
+        cache_obj.insert("embed_neg_hits".into(), Json::from(embed_neg_hits));
         cache_obj.insert("hit_rate".into(), rate(cache.hits, lookups));
         cache_obj.insert("embed_hit_rate".into(), rate(cache.embed_hits, embeds));
         let mut counters: BTreeMap<String, Json> =
@@ -283,6 +285,7 @@ impl Service {
         counters.insert("serve.cache.evict".into(), Json::from(cache.evictions));
         counters.insert("serve.cache.embed_hit".into(), Json::from(cache.embed_hits));
         counters.insert("serve.cache.embed_miss".into(), Json::from(cache.embed_misses));
+        counters.insert("serve.cache.embed_neg_hit".into(), Json::from(embed_neg_hits));
         let mut events: BTreeMap<String, Json> = BTreeMap::new();
         events.insert("recorded".into(), Json::from(self.telemetry.events_recorded()));
         events.insert("pending".into(), Json::from(self.telemetry.events_pending() as u64));
